@@ -226,6 +226,9 @@ def main(argv=None) -> int:
     except ChecksumError as exc:
         _say(f"checksum failure: {exc}")
         return EXIT_ERROR
+    except RuntimeError as exc:  # internal failures, e.g. KerovComputationError
+        _say(f"error: {exc}")
+        return EXIT_ERROR
     except (ValueError, OSError) as exc:
         _say(f"error: {exc}")
         sys.stderr.write(parser.format_usage())

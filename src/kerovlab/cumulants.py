@@ -93,14 +93,15 @@ def _cumulants_from_moments(m: list[int]) -> list[int]:
 
     Writing the inverse as 1/w + sum R_k w^{k-1}, coefficient matching of the
     composition gives M = 1 + sum_s R_s u^s M^s, which is triangular in the
-    R's: R_n = m_n - sum_{s<n} R_s [u^{n-s}] M^s.
+    R's: R_n = m_n - sum_{s<n} R_s [u^{n-s}] M^s.  Only degrees up to
+    order - s of M^s are ever read, so each power is kept to that degree.
     """
     order = len(m) - 1
-    powers = [[1] + [0] * order]  # M^0
-    mpow = list(m)
-    for _ in range(order):
+    powers = [[1]]  # M^0
+    mpow = m[:order]
+    for s in range(1, order):
         powers.append(mpow)
-        mpow = [sum(mpow[i] * m[k - i] for i in range(k + 1)) for k in range(order + 1)]
+        mpow = [sum(mpow[i] * m[k - i] for i in range(k + 1)) for k in range(order - s)]
     r = [0] * (order + 1)
     for n in range(1, order + 1):
         r[n] = m[n] - sum(r[s] * powers[s][n - s] for s in range(1, n))
@@ -113,7 +114,7 @@ _cumulant_cache: dict[Partition, list[int]] = {}
 def free_cumulants(lam: Partition, k_max: int) -> dict[int, Fraction]:
     """Free cumulants R_2..R_{k_max} of the diagram of lam.
 
-    R_1 always comes out 0 for a centered pair and is asserted rather than
+    R_1 always comes out 0 for a centered pair; it is checked rather than
     returned.
     """
     if not lam:
@@ -129,7 +130,8 @@ def _cumulant_list(lam: Partition, k_max: int) -> list[int]:
     if cached is None or len(cached) <= k_max:
         pair = diagram_to_interlacing(lam)
         cached = _cumulants_from_moments(_moment_series(pair, k_max))
-        assert cached[1] == 0, "centered diagram must have R_1 = 0"
+        if cached[1] != 0:
+            raise RuntimeError(f"diagram {lam} is not centered: R_1 = {cached[1]}")
         _cumulant_cache[lam] = cached
     return cached
 

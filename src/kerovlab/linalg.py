@@ -209,8 +209,15 @@ def solve_crt(rows: list[list[int]], rhs: list[int], max_primes: int = 64) -> li
 
 
 def _verify(rows, rhs, x) -> bool:
+    """Exact residual check of a rational solution, in integer arithmetic.
+
+    With den the lcm of the denominators of x, row . x == b is checked as
+    row . (den * x) == den * b.
+    """
+    den = lcm(*(v.denominator for v in x))
+    xs = [int(v * den) for v in x]
     for r, b in zip(rows, rhs):
-        if sum(Fraction(c) * v for c, v in zip(r, x)) != b:
+        if sum(c * v for c, v in zip(r, xs)) != b * den:
             return False
     return True
 

@@ -139,6 +139,13 @@ def test_selftest_checksum_failure_exits_2(capsys, monkeypatch):
     conj._table_cache.clear()
 
 
+def test_interpolation_failure_exits_2(capsys):
+    code, out, err = run_cli(capsys, "kerov", "--r", "12", "--sampling-budget", "1")
+    assert code == 2
+    assert out == ""
+    assert "error: K_12: rank" in err
+
+
 def test_verify_finding_exits_1(capsys, monkeypatch):
     import kerovlab.cli as cli
     from kerovlab.conjectures import SuiteReport

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import kerovlab.cumulants as cumulants
 from kerovlab.cumulants import (
     InterlacingPair,
     c_values,
@@ -32,6 +33,20 @@ def transition_moments(pair, order):
                 den *= xi - xj
         weights.append(num / den)
     return [sum(w * x**k for w, x in zip(weights, pair.x)) for k in range(order + 1)]
+
+
+def full_order_cumulants(m):
+    """Moment-to-cumulant inversion keeping every power M^s to full order."""
+    order = len(m) - 1
+    powers = [[1] + [0] * order]
+    mpow = list(m)
+    for _ in range(order):
+        powers.append(mpow)
+        mpow = [sum(mpow[i] * m[k - i] for i in range(k + 1)) for k in range(order + 1)]
+    r = [0] * (order + 1)
+    for n in range(1, order + 1):
+        r[n] = m[n] - sum(r[s] * powers[s][n - s] for s in range(1, n))
+    return r
 
 
 def set_partitions(n):
@@ -207,6 +222,23 @@ def test_inverse_composes_back_to_identity():
             for k in range(order + 1):
                 g[k] += mj * powers[j + 1][k] if j + 1 <= order else 0
         assert g[1] == 1 and all(g[k] == 0 for k in range(2, order + 1) if k != 1), lam
+
+
+def test_truncated_inversion_matches_full_order():
+    for n in range(1, 15):
+        for lam in enumerate_partitions(n):
+            m = cumulants._moment_series(diagram_to_interlacing(lam), 20)
+            want = full_order_cumulants(m)  # R_n reads only m_0..m_n
+            for order in range(2, 21):
+                got = cumulants._cumulants_from_moments(m[: order + 1])
+                assert got == want[: order + 1], (lam, order)
+
+
+def test_uncentered_cumulants_are_an_error(monkeypatch):
+    monkeypatch.setattr(cumulants, "_cumulant_cache", {})
+    monkeypatch.setattr(cumulants, "_cumulants_from_moments", lambda m: [0, 1] + m[2:])
+    with pytest.raises(RuntimeError, match="R_1"):
+        free_cumulants((3, 1), 4)
 
 
 def test_r2_is_weight_and_conjugation_sign():

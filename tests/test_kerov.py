@@ -1,9 +1,11 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import kerovlab.kerov as kerov
 from kerovlab.characters import normalized_character
 from kerovlab.cumulants import c_values, free_cumulants, q_values
 from kerovlab.kerov import (
@@ -79,6 +81,90 @@ def test_oracle_equivalence():
 def test_budget_too_small_reports_rank():
     with pytest.raises(KerovComputationError, match="rank"):
         compute_kerov(7, sampling_budget=2)
+
+
+# sha256 of the canonical cache JSON of K_8..K_13, as computed by sampling
+# every diagram of each weight (before each weight stopped at its rank bound)
+KNOWN_DIGESTS = {
+    8: "49e6eac475195ee36d1bf10f3b66883a861e96a30b3fede94b19ecead870d31c",
+    9: "c5d53c7da8e817cb96e2468fb8dc25b39a5153764f776a6e8aa11ab15285224e",
+    10: "8277f55b90961f4ab29ad33e3bb6e34d68b13d03a299500a6902a38a5b26371e",
+    11: "b15f8b58d54adfe3f5f82d38ccdc26d6ae7e7a4afa9e5c7f7d590b9fa0642591",
+    12: "2d0c2dc490ba48487b08702210fb8b63d9068f01afd4fc3866bf96d3997549d6",
+    13: "aa566b8db9c6b21811a3011f74bb9865b2df3fd9d6b87174005fbe65891094a2",
+}
+
+
+def test_each_weight_stops_at_its_rank_bound(monkeypatch):
+    calls = []
+    real_add_row = kerov.ModularEchelon.add_row
+
+    def counting_add_row(self, row):
+        calls.append(1)
+        return real_add_row(self, row)
+
+    monkeypatch.setattr(kerov.ModularEchelon, "add_row", counting_add_row)
+    for r, digest in KNOWN_DIGESTS.items():
+        calls.clear()
+        kp = compute_kerov(r)
+        assert len(calls) <= len(kerov_support(r)) + 10, r
+        payload = json.dumps(kerov._cache_payload(kp), separators=(",", ":"))
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest, r
+
+
+def test_stop_keeps_the_pivots_of_full_sampling(monkeypatch):
+    solved = []
+    real_solve = kerov.solve_exact
+
+    def recording_solve(rows, rhs):
+        solved.append(rows)
+        return real_solve(rows, rhs)
+
+    monkeypatch.setattr(kerov, "solve_exact", recording_solve)
+    for r in range(8, 12):
+        # reference: every diagram of each weight, until full rank
+        support = kerov_support(r)
+        ech = kerov.ModularEchelon(len(support))
+        want = []
+        n = r
+        while ech.rank < len(support):
+            for lam in enumerate_partitions(n):
+                row = kerov._evaluation_row(support, kerov._cumulant_list(lam, r + 1), {})
+                if ech.add_row(row):
+                    want.append(row)
+            n += 1
+        solved.clear()
+        compute_kerov(r)
+        assert solved == [want], r
+
+
+@pytest.mark.parametrize("r", [8, 9])
+def test_perturbed_solution_is_caught(monkeypatch, r):
+    real_solve = kerov.solve_exact
+    for k in range(len(kerov_support(r))):
+
+        def perturbed(rows, rhs, k=k):
+            x = real_solve(rows, rhs)
+            x[k] += 1
+            return x
+
+        monkeypatch.setattr(kerov, "solve_exact", perturbed)
+        with pytest.raises(KerovComputationError, match="does not fit"):
+            compute_kerov(r)
+
+
+def test_held_out_check_catches_a_wrong_polynomial():
+    kp = compute_kerov(8)
+    for mu in kp.poly.terms:
+        wrong = kp.poly + CumulantPolynomial("R", {mu: 1})
+        with pytest.raises(KerovComputationError, match="held-out"):
+            kerov._verify_held_out(kerov.KerovPolynomial(8, wrong), 8, set(), [])
+
+
+def test_non_integer_character_is_an_error(monkeypatch):
+    monkeypatch.setattr(kerov, "normalized_character", lambda lam, r: Fraction(1, 2))
+    with pytest.raises(KerovComputationError, match="not an integer"):
+        compute_kerov(5)
 
 
 def test_default_budget_covers_the_r2_chains():
