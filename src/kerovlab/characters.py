@@ -37,7 +37,8 @@ def _hook_dimension(lam: Partition) -> int:
         for j in range(row):
             den *= row - j + conj[j] - i - 1
     q, rem = divmod(num, den)
-    assert rem == 0, "hook product must divide n!"
+    if rem:
+        raise RuntimeError(f"hook product {den} of {lam} does not divide {sum(lam)}!")
     return q
 
 

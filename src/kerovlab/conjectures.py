@@ -119,7 +119,10 @@ def load_table(kind: str) -> PaperTable:
         data = json.loads(raw.decode("utf-8"))
         for sub, block in data.items():
             entries = {parse_partition(k): int(v) for k, v in block["entries"].items()}
-            assert block["scale"] == TABLE_SCALES[sub]
+            if block["scale"] != TABLE_SCALES[sub]:
+                raise ChecksumError(
+                    f"{fname}: {sub} scale {block['scale']} != expected {TABLE_SCALES[sub]}"
+                )
             _table_cache[sub] = PaperTable(sub, block["scale"], entries)
         table = _table_cache[kind]
     return table

@@ -316,7 +316,10 @@ def compute_kerov(r: int, sampling_budget: int | None = None) -> KerovPolynomial
             f"K_{r}: rank {ech.rank} of {ncols} after sampling diagrams of "
             f"weight {r}..{n_stop}; increase the sampling budget"
         )
-    x = solve_exact(pivot_rows, pivot_rhs)
+    try:
+        x = solve_exact(pivot_rows, pivot_rhs)
+    except ValueError as exc:
+        raise KerovComputationError(f"K_{r}: exact solve failed: {exc}") from exc
     if all(v.denominator == 1 for v in x):
         x = [int(v) for v in x]  # keeps the residual checks in integer arithmetic
     # re-check the solution against sampled diagrams outside the solve; all of

@@ -6,11 +6,11 @@ Three tools tuned for the interpolation workloads here:
   prime; rank mod p never exceeds the rational rank, so "full rank mod p"
   certifies full rational rank and the recorded pivot rows give a square
   subsystem that is provably invertible over Q.
-* solve_bareiss -- fraction-free Gaussian elimination on integer matrices;
-  the workhorse for systems up to a couple hundred unknowns.
-* solve_crt -- multi-prime modular solving with Chinese remaindering and
-  rational reconstruction for large systems, always followed by exact
-  verification against the original equations.
+* solve_exact / solve_crt -- every exact solve is modular: multi-prime
+  solving with Chinese remaindering and rational reconstruction, accepted
+  only after an exact integer check against every original equation.
+* solve_bareiss -- fraction-free Gaussian elimination on integer matrices,
+  kept as an independent reference for the modular solver.
 """
 
 from __future__ import annotations
@@ -223,17 +223,14 @@ def _verify(rows, rhs, x) -> bool:
 
 
 def solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Solve a nonsingular square integer system exactly.
+    """Solve a nonsingular square integer system exactly, at any size.
 
-    Fraction-free elimination up to ~150 unknowns; beyond that the modular
-    path wins on both memory and time.  The result is verified against every
-    input equation either way.
+    The modular path (solve_crt) is faster than fraction-free elimination on
+    every interpolation system here, and it returns a solution only after
+    checking it against every input equation in integer arithmetic.  A
+    singular system, or one whose solution the primes cannot pin down,
+    raises ValueError.
     """
-    if len(rows) <= 150:
-        x = solve_bareiss(rows, rhs)
-        if not _verify(rows, rhs, x):
-            raise AssertionError("exact solve failed verification")
-        return x
     return solve_crt(rows, rhs)
 
 

@@ -151,7 +151,8 @@ def _fill_m_to_p(degree: int) -> None:
     index = {lam: i for i, lam in enumerate(parts)}
     rows = [p_in_m(mu) for mu in parts]
     for i, row in enumerate(rows):
-        assert all(index[lam] <= i for lam in row), "expected triangular transition"
+        if any(index[lam] > i for lam in row):
+            raise RuntimeError(f"p -> m transition in degree {degree} is not triangular")
     for i, mu in enumerate(parts):
         acc: dict[Partition, Fraction] = {mu: Fraction(1)}
         diag = Fraction(rows[i][mu])

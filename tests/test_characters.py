@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import kerovlab.characters as characters
 from kerovlab.characters import dimension, mn_character, normalized_character
 from kerovlab.partitions import conjugate, enumerate_partitions, multiplicities, z_factor
 
@@ -138,3 +139,10 @@ def test_normalized_validation():
         normalized_character((2, 1), 4)
     with pytest.raises(ValueError):
         normalized_character((3,), 1)
+
+
+def test_non_dividing_hook_product_is_an_error(monkeypatch):
+    # the hook product of (3, 1) is 8; a "factorial" of 7 cannot be divided by it
+    monkeypatch.setattr(characters, "factorial", lambda n: 7)
+    with pytest.raises(RuntimeError, match="does not divide"):
+        characters._hook_dimension((3, 1))

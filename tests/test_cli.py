@@ -146,6 +146,18 @@ def test_interpolation_failure_exits_2(capsys):
     assert "error: K_12: rank" in err
 
 
+def test_failed_solve_exits_2_without_usage(capsys, monkeypatch):
+    import kerovlab.linalg as linalg
+
+    monkeypatch.delenv("KEROVLAB_CACHE", raising=False)
+    monkeypatch.setattr(linalg, "_solve_mod_p", lambda rows, rhs, p: None)
+    code, out, err = run_cli(capsys, "kerov", "--r", "8")
+    assert code == 2
+    assert out == ""
+    assert "error: K_8: exact solve failed" in err
+    assert "usage:" not in err
+
+
 def test_verify_finding_exits_1(capsys, monkeypatch):
     import kerovlab.cli as cli
     from kerovlab.conjectures import SuiteReport

@@ -100,6 +100,13 @@ def test_checksum_failure_raises(monkeypatch):
     assert load_table("c3").entries[(8,)] == 9
 
 
+def test_table_scale_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(conj, "_table_cache", {})
+    monkeypatch.setitem(conj.TABLE_SCALES, "F2", 2881)
+    with pytest.raises(ChecksumError, match="scale 2880"):
+        load_table("F2")
+
+
 def test_closed_form_tables_match_their_power_sum_forms():
     assert load_table("f2").to_symfunc() == f2_P
     assert load_table("g2").to_symfunc() == g2_P

@@ -2,10 +2,12 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import kerovlab.kerov as kerov
+import kerovlab.linalg as linalg
 from kerovlab.characters import normalized_character
 from kerovlab.cumulants import c_values, free_cumulants, q_values
 from kerovlab.kerov import (
@@ -110,6 +112,22 @@ def test_each_weight_stops_at_its_rank_bound(monkeypatch):
         assert len(calls) <= len(kerov_support(r)) + 10, r
         payload = json.dumps(kerov._cache_payload(kp), separators=(",", ":"))
         assert hashlib.sha256(payload.encode()).hexdigest() == digest, r
+
+
+def test_modular_solve_across_the_old_cutoff(monkeypatch):
+    # K_14 (94 unknowns), K_15 (137) and K_16 (160) lie on both sides of 150
+    # unknowns; each must come out of the modular solver with the digest the
+    # benchmark records for its cache file
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    digests = json.loads(golden.read_text())["cache_files"]
+
+    def no_bareiss(rows, rhs):
+        raise AssertionError("solve_bareiss called")
+
+    monkeypatch.setattr(linalg, "solve_bareiss", no_bareiss)
+    for r in (14, 15, 16):
+        payload = json.dumps(kerov._cache_payload(compute_kerov(r)), separators=(",", ":"))
+        assert hashlib.sha256(payload.encode()).hexdigest() == digests[f"kerov_r{r}.json"], r
 
 
 def test_stop_keeps_the_pivots_of_full_sampling(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import kerovlab.symfunc as symfunc
 from kerovlab.partitions import enumerate_partitions
 from kerovlab.symfunc import (
     SymFunc,
@@ -218,3 +219,12 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         SymFunc("m", {(1, 2): 1})
     assert SymFunc("m", {(2,): 0}).is_zero()
+
+
+def test_non_triangular_transition_is_an_error(monkeypatch):
+    # every p_mu claims the support {m_(1,1,1)}, the last partition of 3, so
+    # the row of p_(3) reaches past the diagonal
+    monkeypatch.setattr(symfunc, "_m_in_p", {})
+    monkeypatch.setattr(symfunc, "p_in_m", lambda mu: {(1, 1, 1): 1})
+    with pytest.raises(RuntimeError, match="not triangular"):
+        symfunc._fill_m_to_p(3)
