@@ -6,10 +6,11 @@ are diagrams sampled weight by weight until the evaluation matrix provably
 reaches full column rank, and the solved polynomial is re-verified against
 the character oracle on held-out diagrams.
 
-Generator-family conversion goes through symmetric functions on a formal
-alphabet where (i-1) R_i = -h_i, Q_i = -p_i / i and C_i = (-1)^i e_i; the
-degree-one generator vanishes there, so conversions quotient out every index
-containing a part 1.
+Generator-family conversion is a series substitution in the quotient ring
+where the degree-one generators vanish: with X = sum (i-1) R_i z^i, the
+identities 1/(1-X) = C(z), -log(1-X) = Q(z) and exp(Q(z)) = C(z) give each
+generator of one family as a polynomial in another over indices with parts
+>= 2, and each monomial's expansion is memoized as a suffix product.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from .partitions import (
     multiplicities,
     power_sum_value,
 )
-from .symfunc import SymFunc, _sort_key, phi_hat
+from .symfunc import _free_mul, _sort_key, phi_hat
 
 FAMILIES = ("R", "C", "Q")
-_FAMILY_BASIS = {"R": "h", "C": "e", "Q": "p"}
 
 CACHE_FORMAT_VERSION = 1
 CACHE_ENV_VAR = "KEROVLAB_CACHE"
@@ -105,14 +105,7 @@ class CumulantPolynomial:
     def __add__(self, other: "CumulantPolynomial") -> "CumulantPolynomial":
         if other.family != self.family:
             raise ValueError("cannot add polynomials from different families")
-        out = dict(self.terms)
-        for mu, c in other.terms.items():
-            val = out.get(mu, 0) + c
-            if val:
-                out[mu] = val
-            elif mu in out:
-                del out[mu]
-        return CumulantPolynomial(self.family, out)
+        return CumulantPolynomial(self.family, _free_mul({(): 1}, other.terms, dict(self.terms)))
 
     def __sub__(self, other: "CumulantPolynomial") -> "CumulantPolynomial":
         return self + other.scale(-1)
@@ -124,16 +117,7 @@ class CumulantPolynomial:
     def __mul__(self, other: "CumulantPolynomial") -> "CumulantPolynomial":
         if other.family != self.family:
             raise ValueError("cannot multiply polynomials from different families")
-        out: dict[Partition, Fraction] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(sorted(a + b, reverse=True))
-                val = out.get(key, 0) + ca * cb
-                if val:
-                    out[key] = val
-                elif key in out:
-                    del out[key]
-        return CumulantPolynomial(self.family, out)
+        return CumulantPolynomial(self.family, _free_mul(self.terms, other.terms))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CumulantPolynomial):
@@ -226,13 +210,6 @@ def kerov_support(r: int) -> list[Partition]:
             continue
         support.extend(enumerate_partitions(w, 2))
     return sorted(support, key=_sort_key)
-
-
-def _monomial_value(mu: Partition, cums: list[int]) -> int:
-    v = 1
-    for i in mu:
-        v *= cums[i]
-    return v
 
 
 def _evaluation_row(support, cums, cache) -> list[int]:
@@ -380,40 +357,78 @@ def evaluate_at_diagram(poly: CumulantPolynomial, lam: Partition) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# family conversion through the formal alphabet
+# family conversion by series substitution in the quotient ring
 # ---------------------------------------------------------------------------
 
+# Each family as a generating series: C(z) = 1 + sum C_i z^i, Q(z) = sum Q_i z^i
+# and H(z) = 1 - X(z) = 1 - sum (i-1) R_i z^i standing for R.  Between them
+# H = 1/C, C = exp(Q) and Q = -log H.  _series[(src, dst)] lists the
+# coefficients of the source series as polynomials in the target generators;
+# entry n is homogeneous of weight n, and entry 1 is zero.
+_series: dict[tuple[str, str], list[dict[Partition, Fraction]]] = {}
+# (src, dst, mu) -> the source monomial mu expanded in the target generators
+_monomials: dict[tuple[str, str, Partition], dict[Partition, Fraction]] = {}
 
-def _family_factor(family: str, i: int) -> Fraction:
-    """Scalar phi_i with (family generator)_i = phi_i * (basis generator)_i."""
-    if family == "R":
-        return Fraction(-1, i - 1)
-    if family == "C":
-        return Fraction((-1) ** i)
-    return Fraction(-1, i)
+
+def _source_series(src: str, dst: str, n: int) -> list[dict[Partition, Fraction]]:
+    """Coefficients 0..n of the source series in the target generators.
+
+    The source series is the inverse of the target series (C <-> H), its log
+    (Q from C, or from H with sign -1) or the exp of +-Q (C or H from Q),
+    extended one weight at a time by the truncated recurrence.
+    """
+    out = _series.setdefault((src, dst), [{} if src == "Q" else {(): Fraction(1)}, {}])
+    sign = -1 if "R" in (src, dst) else 1
+
+    def a(k, c):  # c times the z^k coefficient of the target series
+        return {(k,): Fraction(c * (1 - k) if dst == "R" else c)}
+
+    for m in range(len(out), n + 1):
+        if src == "Q":  # s = sign log a: s_m = sign a_m - (1/m) sum k s_k a_{m-k}
+            s = a(m, sign)
+            for k in range(2, m - 1):
+                _free_mul(a(m - k, Fraction(-k, m)), out[k], s)
+        else:  # exp(sign Q): s_m = (sign/m) sum k Q_k s_{m-k}; 1/a: s_m = -sum a_k s_{m-k}
+            s = {}
+            for k in range(2, m + 1):
+                c = Fraction(sign * k, m) if dst == "Q" else -1
+                _free_mul(a(k, c), out[m - k], s)
+        out.append(s)
+    return out
+
+
+def _monomial(src: str, dst: str, mu: Partition) -> dict[Partition, Fraction]:
+    """The source monomial mu in the target generators: gen(mu[0]) * (mu[1:])."""
+    key = (src, dst, mu)
+    got = _monomials.get(key)
+    if got is None:
+        if mu:
+            i = mu[0]
+            gen = _source_series(src, dst, i)[i]
+            if src == "R":  # (i-1) R_i = -H_i
+                gen = {nu: c / (1 - i) for nu, c in gen.items()}
+            got = _free_mul(gen, _monomial(src, dst, mu[1:]))
+        else:
+            got = {(): Fraction(1)}
+        _monomials[key] = got
+    return got
 
 
 def change_generators(poly: CumulantPolynomial, target: str) -> CumulantPolynomial:
-    """Re-express a polynomial in another generator family, exactly."""
+    """Re-express a polynomial in another generator family, exactly.
+
+    The conversion is a series substitution in the quotient ring where the
+    degree-one generators vanish: each source monomial is expanded through
+    1/(1-X) = C, -log(1-X) = Q and exp(Q) = C with X = sum (i-1) R_i z^i,
+    and the expansions are memoized per monomial.
+    """
     if target not in FAMILIES:
         raise ValueError(f"unknown family {target!r}")
     if target == poly.family:
         return poly
-    src_basis = _FAMILY_BASIS[poly.family]
-    dst_basis = _FAMILY_BASIS[target]
-    lifted: dict[Partition, Fraction] = {}
-    for mu, c in poly.terms.items():
-        for i in mu:
-            c = c * _family_factor(poly.family, i)
-        lifted[mu] = c
-    converted = SymFunc(src_basis, lifted).convert(dst_basis)
     out: dict[Partition, Fraction] = {}
-    for nu, c in converted.terms.items():
-        if 1 in nu:
-            continue  # the alphabet has h_1 = e_1 = p_1 = 0
-        for i in nu:
-            c = c / _family_factor(target, i)
-        out[nu] = c
+    for mu, c in poly.terms.items():
+        _free_mul({(): c}, _monomial(poly.family, target, mu), out)
     return CumulantPolynomial(target, out)
 
 

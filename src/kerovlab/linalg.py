@@ -18,8 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-import numpy as np
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -72,7 +70,7 @@ class ModularEchelon:
     def __init__(self, ncols: int, prime: int | None = None):
         self.ncols = ncols
         self.p = prime or word_primes(1)[0]
-        self.rows: list[np.ndarray] = []
+        self.rows: list = []  # numpy int64 rows, reduced mod p
         self.pivot_cols: list[int] = []
 
     @property
@@ -81,6 +79,8 @@ class ModularEchelon:
 
     def add_row(self, row_ints) -> bool:
         """Reduce a row against the basis; returns True if it added a pivot."""
+        import numpy as np  # loaded only when a modular echelon is used
+
         p = self.p
         row = np.array([x % p for x in row_ints], dtype=np.int64)
         for col, basis in zip(self.pivot_cols, self.rows):
@@ -129,6 +129,8 @@ def solve_bareiss(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
 
 
 def _solve_mod_p(rows, rhs, p) -> list[int] | None:
+    import numpy as np  # loaded only when a modular solve runs
+
     n = len(rows)
     a = np.zeros((n, n + 1), dtype=np.int64)
     for i, (r, b) in enumerate(zip(rows, rhs)):

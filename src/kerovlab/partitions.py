@@ -143,7 +143,3 @@ def format_rational(q) -> str:
     """Text form of an exact rational: "num/den", denominator omitted when 1."""
     q = Fraction(q)
     return str(q)
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)

@@ -10,7 +10,6 @@ constant term.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import prod
 
@@ -38,11 +37,14 @@ _p_in_m: dict[Partition, dict[Partition, int]] = {}
 _m_in_p: dict[Partition, dict[Partition, Fraction]] = {}
 
 
-def _free_mul(f: dict, g: dict) -> dict:
-    """Product in a free multiplicative basis: concatenate index partitions."""
-    if not f or not g:
-        return {}
-    out: dict[Partition, Fraction] = {}
+def _free_mul(f: dict, g: dict, out: dict | None = None) -> dict:
+    """Product in a free multiplicative basis: concatenate index partitions.
+
+    Given `out`, the product is added into it in place; with f = {(): c}
+    that adds c * g to out.
+    """
+    if out is None:
+        out = {}
     for lam, a in f.items():
         for mu, b in g.items():
             key = tuple(sorted(lam + mu, reverse=True))
@@ -79,14 +81,7 @@ def p_in_e(n: int) -> dict[Partition, Fraction]:
         return got
     out: dict[Partition, Fraction] = {(n,): Fraction((-1) ** (n - 1) * n)}
     for k in range(1, n):
-        sign = (-1) ** (k - 1)
-        for lam, c in p_in_e(n - k).items():
-            key = tuple(sorted(lam + (k,), reverse=True))
-            val = out.get(key, 0) + sign * c
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
+        _free_mul({(k,): (-1) ** (k - 1)}, p_in_e(n - k), out)
     _p_in_e[n] = out
     return out
 
@@ -98,13 +93,7 @@ def p_in_h(n: int) -> dict[Partition, Fraction]:
         return got
     out: dict[Partition, Fraction] = {(n,): Fraction(n)}
     for k in range(1, n):
-        for lam, c in p_in_h(n - k).items():
-            key = tuple(sorted(lam + (k,), reverse=True))
-            val = out.get(key, 0) - c
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
+        _free_mul({(k,): -1}, p_in_h(n - k), out)
     _p_in_h[n] = out
     return out
 
@@ -225,14 +214,7 @@ class SymFunc:
     def __add__(self, other: "SymFunc") -> "SymFunc":
         if other.basis != self.basis:
             other = other.convert(self.basis)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            val = out.get(lam, 0) + c
-            if val:
-                out[lam] = val
-            elif lam in out:
-                del out[lam]
-        return SymFunc(self.basis, out)
+        return SymFunc(self.basis, _free_mul({(): 1}, other.terms, dict(self.terms)))
 
     def __neg__(self) -> "SymFunc":
         return SymFunc(self.basis, {lam: -c for lam, c in self.terms.items()})
@@ -261,9 +243,6 @@ class SymFunc:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_degree(self) -> int:
-        return max((sum(lam) for lam in self.terms), default=0)
-
     # -- basis conversion ----------------------------------------------------
 
     def convert(self, target: str) -> "SymFunc":
@@ -285,12 +264,7 @@ class SymFunc:
                 expansion = {(): Fraction(1)}
                 for part in lam:
                     expansion = _free_mul(expansion, gen(part))
-            for mu, b in expansion.items():
-                val = out.get(mu, 0) + c * b
-                if val:
-                    out[mu] = val
-                elif mu in out:
-                    del out[mu]
+            _free_mul({(): c}, expansion, out)
         return out
 
     def _to_basis(self, target: str) -> dict[Partition, Fraction]:
@@ -306,12 +280,7 @@ class SymFunc:
                 expansion = {(): Fraction(1)}
                 for part in mu:
                     expansion = _free_mul(expansion, gen(part))
-            for lam, b in expansion.items():
-                val = out.get(lam, 0) + c * b
-                if val:
-                    out[lam] = val
-                elif lam in out:
-                    del out[lam]
+            _free_mul({(): c}, expansion, out)
         return out
 
     # -- evaluation ----------------------------------------------------------
@@ -347,9 +316,6 @@ class SymFunc:
                 for lam, c in self.sorted_terms()
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SymFunc":

@@ -27,6 +27,7 @@ from kerovlab.kerov import (
     weighted_triple_sum,
 )
 from kerovlab.partitions import enumerate_partitions
+from kerovlab.symfunc import SymFunc
 
 # K_2..K_7 as frozen references; each is re-derivable here from the closed
 # forms for the top three weights plus the character oracle for the rest,
@@ -256,6 +257,60 @@ def test_family_relation_sums():
             mu: Fraction(1, mult_factorial(mu)) for mu in enumerate_partitions(n, 2)
         }
         assert cn.terms == want, n
+
+
+def _full_ring_route(poly, target):
+    # reference conversion through the whole symmetric-function ring: lift to
+    # the alphabet where (i-1) R_i = -h_i, C_i = (-1)^i e_i and Q_i = -p_i / i,
+    # change basis there, drop every index with a part 1 (h_1 = e_1 = p_1 = 0
+    # in the quotient) and rescale
+    basis = {"R": "h", "C": "e", "Q": "p"}
+
+    def factor(family, i):
+        if family == "R":
+            return Fraction(-1, i - 1)
+        return Fraction((-1) ** i) if family == "C" else Fraction(-1, i)
+
+    lifted = {}
+    for mu, c in poly.terms.items():
+        for i in mu:
+            c *= factor(poly.family, i)
+        lifted[mu] = c
+    out = {}
+    for nu, c in SymFunc(basis[poly.family], lifted).convert(basis[target]).terms.items():
+        if 1 not in nu:
+            for i in nu:
+                c /= factor(target, i)
+            out[nu] = c
+    return CumulantPolynomial(target, out)
+
+
+def _assert_matches_full_ring_route(poly):
+    for target in ("R", "C", "Q"):
+        if target != poly.family:
+            got = change_generators(poly, target)
+            assert got.terms == _full_ring_route(poly, target).terms, (poly, target)
+
+
+def test_change_generators_matches_full_ring_route_on_components():
+    for r in range(2, 13):
+        kp = compute_kerov(r)
+        for s in kp.poly.weights():
+            comp = graded_component(kp, s)
+            for poly in (comp, _full_ring_route(comp, "C"), _full_ring_route(comp, "Q")):
+                _assert_matches_full_ring_route(poly)
+
+
+def test_change_generators_matches_full_ring_route_on_random_polynomials():
+    rng = random.Random(29)
+    for src in ("R", "C", "Q"):
+        for _ in range(8):
+            terms = {}
+            for _ in range(6):
+                mus = enumerate_partitions(rng.randint(0, 10), 2)
+                if mus:
+                    terms[rng.choice(mus)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            _assert_matches_full_ring_route(CumulantPolynomial(src, terms))
 
 
 def test_degree_one_is_erased_exactly():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +144,25 @@ def test_fraction_echelon_rank_deficient_without_conflict():
     ech.add_row([0, 1, 1], 1, "b")
     assert ech.rank == 2 and not ech.conflicts
     assert ech.solution() is None
+
+
+def test_cli_import_defers_numpy_to_the_modular_solve():
+    # a warm-cache verify never echelons or solves, so importing the CLI must
+    # not load numpy; the modular echelon and solve load it when first used
+    script = (
+        "import kerovlab.cli, sys; print('numpy' in sys.modules)\n"
+        "from fractions import Fraction\n"
+        "from kerovlab.linalg import ModularEchelon, solve_exact\n"
+        "e = ModularEchelon(2)\n"
+        "assert e.add_row([1, 2]) and e.add_row([3, 4]) and not e.add_row([5, 6])\n"
+        "assert solve_exact([[1, 2], [3, 4]], [5, 6]) == [-4, Fraction(9, 2)]\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["False", "True"]
