@@ -45,7 +45,7 @@ from .partitions import (
     power_sum_value,
     z_factor,
 )
-from .symfunc import SymFunc
+from .symfunc import SymFunc, monomial_value
 
 
 class ChecksumError(RuntimeError):
@@ -258,7 +258,6 @@ def extract_symfunc(
     unknowns: list[Partition] = []
     for d in range(0, 4 * (k - 1) + 1):
         unknowns.extend(enumerate_partitions(d))
-    index_rows = {rho: SymFunc("m", {rho: 1}) for rho in unknowns}
     ech = FractionEchelon(len(unknowns))
     residual: list[tuple[int, Partition]] = []
     for r in range(r_lo, r_hi + 1):
@@ -273,7 +272,7 @@ def extract_symfunc(
                 if coef:
                     residual.append((r, mu))  # no monomial can produce this term
                 continue
-            row = [index_rows[rho].evaluate(mu) for rho in unknowns]
+            row = [monomial_value(rho, mu) for rho in unknowns]
             ech.add_row(row, coef / fac, (r, mu))
     residual.extend(ech.conflicts)
     residual.sort()

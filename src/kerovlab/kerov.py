@@ -476,22 +476,20 @@ def krr3_closed_form(r: int) -> CumulantPolynomial:
 def triple_sum_bruteforce(a, b, c, n: int) -> CumulantPolynomial:
     """sum over (i,j,k) with i+j+k = n of (a + b i + c i^2) C_i C_j C_k.
 
-    Triples containing 1 drop out (C_1 = 0); zeros contribute C_0 = 1.
+    Triples containing 1 drop out (C_1 = 0); zeros contribute C_0 = 1.  The
+    weight is applied once per monomial, to the integer sums of 1, i and i^2.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    out: dict[Partition, Fraction] = {}
+    i_values: dict[Partition, list[int]] = {}  # monomial -> the i of each of its triples
     for i in range(n + 1):
         for j in range(n + 1 - i):
             k = n - i - j
-            if 1 in (i, j, k):
-                continue
-            mu = tuple(sorted((v for v in (i, j, k) if v), reverse=True))
-            val = out.get(mu, 0) + a + b * i + c * i * i
-            if val:
-                out[mu] = val
-            elif mu in out:
-                del out[mu]
-    return CumulantPolynomial("C", out)
+            if 1 not in (i, j, k):
+                mu = tuple(sorted((v for v in (i, j, k) if v), reverse=True))
+                i_values.setdefault(mu, []).append(i)
+    return CumulantPolynomial("C", {
+        mu: a * len(iv) + b * sum(iv) + c * sum(i * i for i in iv) for mu, iv in i_values.items()
+    })
 
 
 def weighted_triple_sum(a, b, c, n: int, family: str) -> CumulantPolynomial:

@@ -4,14 +4,16 @@ A SymFunc is a sparse map from index partitions to rational coefficients,
 tagged with the basis it is written in.  Power sums are the reference basis:
 multiplication and equality go through p, where the algebra is free and a
 product of basis elements is concatenation of the index partitions.
-Inhomogeneous values are first class; the empty partition indexes the
-constant term.
+Evaluation at an integer vector is direct integer substitution in the
+function's own basis, with no basis change.  Inhomogeneous values are first
+class; the empty partition indexes the constant term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from functools import cache
+from math import factorial, prod
 
 from .partitions import (
     Partition,
@@ -29,8 +31,7 @@ BASES = ("m", "p", "e", "h")
 # expansion caches (idempotent fill: recomputation yields identical entries)
 # ---------------------------------------------------------------------------
 
-_e_in_p: dict[int, dict[Partition, Fraction]] = {}
-_h_in_p: dict[int, dict[Partition, Fraction]] = {}
+_gen_in_p: dict[tuple[str, Partition], tuple[int, dict[Partition, int]]] = {}
 _p_in_e: dict[int, dict[Partition, Fraction]] = {}
 _p_in_h: dict[int, dict[Partition, Fraction]] = {}
 _p_in_m: dict[Partition, dict[Partition, int]] = {}
@@ -56,21 +57,24 @@ def _free_mul(f: dict, g: dict, out: dict | None = None) -> dict:
     return out
 
 
-def e_in_p(n: int) -> dict[Partition, Fraction]:
-    """e_n = sum over |mu|=n of eps(mu) * p_mu / z_mu."""
-    got = _e_in_p.get(n)
-    if got is None:
-        got = {mu: Fraction(epsilon(mu), z_factor(mu)) for mu in enumerate_partitions(n)}
-        _e_in_p[n] = got
-    return got
+def gen_product_in_p(basis: str, lam: Partition) -> tuple[int, dict[Partition, int]]:
+    """e_lam or h_lam in p, as integer numerators over the denominator prod lam_i!.
 
-
-def h_in_p(n: int) -> dict[Partition, Fraction]:
-    """h_n = sum over |mu|=n of p_mu / z_mu."""
-    got = _h_in_p.get(n)
+    n! h_n = sum over |mu| = n of (n!/z_mu) p_mu, with n!/z_mu the size of the
+    class of cycle type mu; n! e_n carries the sign eps(mu).
+    """
+    got = _gen_in_p.get((basis, lam))
     if got is None:
-        got = {mu: Fraction(1, z_factor(mu)) for mu in enumerate_partitions(n)}
-        _h_in_p[n] = got
+        if len(lam) <= 1:
+            n = sum(lam)
+            den = factorial(n)
+            sign = epsilon if basis == "e" else (lambda mu: 1)
+            got = (den, {mu: sign(mu) * (den // z_factor(mu)) for mu in enumerate_partitions(n)})
+        else:
+            head_den, head = gen_product_in_p(basis, lam[:1])
+            tail_den, tail = gen_product_in_p(basis, lam[1:])
+            got = (head_den * tail_den, _free_mul(head, tail))
+        _gen_in_p[(basis, lam)] = got
     return got
 
 
@@ -166,6 +170,36 @@ def m_in_p(lam: Partition) -> dict[Partition, Fraction]:
     return got
 
 
+@cache
+def monomial_value(rho: Partition, v: Partition) -> int:
+    """m_rho at x = v (the remaining variables 0), in integers.
+
+    The first variable takes no part of rho, or one part value a; taking each
+    distinct a once counts each distinct exponent vector once.
+    """
+    if not rho:
+        return 1
+    if len(rho) > len(v):
+        return 0
+    x, rest = v[0], v[1:]
+    total = monomial_value(rho, rest)
+    for i, a in enumerate(rho):
+        if i == 0 or a != rho[i - 1]:
+            total += x**a * monomial_value(rho[:i] + rho[i + 1:], rest)
+    return total
+
+
+def _generator_values(basis: str, v: Partition, n: int) -> list[int]:
+    """p_k(v), or e_k(v) / h_k(v) from the factors 1 + x t / 1/(1 - x t), for k <= n."""
+    if basis == "p":
+        return [sum(x**k for x in v) for k in range(n + 1)]
+    g = [1] + [0] * n
+    for x in v:
+        for k in range(n, 0, -1) if basis == "e" else range(1, n + 1):
+            g[k] += x * g[k - 1]
+    return g
+
+
 # ---------------------------------------------------------------------------
 # SymFunc
 # ---------------------------------------------------------------------------
@@ -258,13 +292,10 @@ class SymFunc:
         out: dict[Partition, Fraction] = {}
         for lam, c in self.terms.items():
             if self.basis == "m":
-                expansion = m_in_p(lam)
+                _free_mul({(): c}, m_in_p(lam), out)
             else:
-                gen = e_in_p if self.basis == "e" else h_in_p
-                expansion = {(): Fraction(1)}
-                for part in lam:
-                    expansion = _free_mul(expansion, gen(part))
-            _free_mul({(): c}, expansion, out)
+                den, numerators = gen_product_in_p(self.basis, lam)
+                _free_mul({(): c / den}, numerators, out)
         return out
 
     def _to_basis(self, target: str) -> dict[Partition, Fraction]:
@@ -286,14 +317,18 @@ class SymFunc:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, v: Partition) -> Fraction:
-        """Specialize x_1..x_l to the entries of v and the rest to 0."""
-        pterms = self._to_p_terms()
-        maxpart = max((lam[0] for lam in pterms if lam), default=0)
-        psum = [Fraction(len(v))] + [Fraction(sum(x**k for x in v)) for k in range(1, maxpart + 1)]
-        total = Fraction(0)
-        for lam, c in pterms.items():
-            total += c * prod((psum[part] for part in lam), start=Fraction(1))
-        return total
+        """Specialize x_1..x_l to the entries of v and the rest to 0.
+
+        Direct integer substitution, with no basis change: m_rho(v) by
+        `monomial_value`, a p/e/h product from the generator values at v.
+        """
+        if self.basis == "m":
+            values = (monomial_value(lam, v) for lam in self.terms)
+        else:
+            top = max((lam[0] for lam in self.terms if lam), default=0)
+            g = _generator_values(self.basis, v, top)
+            values = (prod(g[part] for part in lam) for lam in self.terms)
+        return sum((c * val for c, val in zip(self.terms.values(), values)), Fraction(0))
 
     # -- serialization -------------------------------------------------------
 

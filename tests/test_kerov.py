@@ -359,6 +359,22 @@ def test_weighted_triple_sum_matches_bruteforce():
                 assert change_generators(brute, fam) == weighted_triple_sum(a, b, c, n, fam)
 
 
+def test_triple_sum_matches_per_triple_fraction_sum():
+    # reference: one Fraction update per triple, as the sum is written
+    rng = random.Random(15)
+    for _ in range(8):
+        a, b, c = (Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(3))
+        for n in range(0, 13):
+            want = {}
+            for i in range(n + 1):
+                for j in range(n + 1 - i):
+                    k = n - i - j
+                    if 1 not in (i, j, k):
+                        mu = tuple(sorted((v for v in (i, j, k) if v), reverse=True))
+                        want[mu] = want.get(mu, 0) + a + b * i + c * i * i
+            assert triple_sum_bruteforce(a, b, c, n) == CumulantPolynomial("C", want), (a, b, c, n)
+
+
 # ---------------------------------------------------------------------------
 # polynomial container behavior
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import kerovlab.symfunc as symfunc
-from kerovlab.partitions import enumerate_partitions
+from kerovlab.partitions import enumerate_partitions, epsilon, z_factor
 from kerovlab.symfunc import (
     SymFunc,
+    gen_product_in_p,
     m_scalar_specialize,
     p_scalar_specialize,
     phi_hat,
@@ -162,6 +164,79 @@ def test_evaluate_is_ring_homomorphism():
         g = random_symfunc(rng, "e", max_deg=6, nterms=3)
         for v in vectors:
             assert (f * g.convert("p")).evaluate(v) == f.evaluate(v) * g.evaluate(v)
+
+
+# the p route that evaluation replaced, kept as the reference: expand in p
+# (e_n and h_n as Fraction sums over z_mu, m by the transition matrix), then
+# substitute the power sums of v
+
+
+def _old_gen_in_p(basis, n):
+    sign = epsilon if basis == "e" else (lambda mu: 1)
+    return {mu: Fraction(sign(mu), z_factor(mu)) for mu in enumerate_partitions(n)}
+
+
+def _old_product_in_p(basis, lam):
+    expansion = {(): Fraction(1)}
+    for part in lam:
+        expansion = symfunc._free_mul(expansion, _old_gen_in_p(basis, part))
+    return expansion
+
+
+def _p_route(f):
+    """The p expansion of f as (denominator, integer numerators)."""
+    out = {}
+    for lam, c in f.terms.items():
+        if f.basis == "p":
+            expansion = {lam: 1}
+        elif f.basis == "m":
+            expansion = symfunc.m_in_p(lam)
+        else:
+            expansion = _old_product_in_p(f.basis, lam)
+        symfunc._free_mul({(): c}, expansion, out)
+    den = math.lcm(*(c.denominator for c in out.values()))
+    return den, {lam: int(c * den) for lam, c in out.items()}
+
+
+EVAL_POINTS = [v for n in range(0, 9) for v in enumerate_partitions(n)]
+POWER_SUMS = {v: [len(v)] + [sum(x**k for x in v) for k in range(1, 11)] for v in EVAL_POINTS}
+
+
+def _p_route_value(route, v):
+    den, numerators = route
+    psum = POWER_SUMS[v]
+    return Fraction(sum(a * math.prod(psum[part] for part in lam) for lam, a in numerators.items()), den)
+
+
+def test_evaluate_matches_power_sum_route_on_every_basis_element():
+    # every basis element of degree <= 10 at every partition v with |v| <= 8,
+    # the empty v included
+    for basis in ("m", "p", "e", "h"):
+        for d in range(0, 11):
+            for lam in enumerate_partitions(d):
+                f = SymFunc(basis, {lam: 1})
+                route = _p_route(f)
+                for v in EVAL_POINTS:
+                    assert f.evaluate(v) == _p_route_value(route, v), (basis, lam, v)
+
+
+def test_evaluate_matches_power_sum_route_on_random_functions():
+    rng = random.Random(1510)
+    for basis in ("m", "p", "e", "h"):
+        for _ in range(5):
+            f = random_symfunc(rng, basis, max_deg=10, nterms=6)
+            route = _p_route(f)
+            for v in EVAL_POINTS:
+                assert f.evaluate(v) == _p_route_value(route, v), (basis, f, v)
+
+
+def test_e_h_products_match_fraction_generator_products():
+    for basis in ("e", "h"):
+        for d in range(0, 11):
+            for lam in enumerate_partitions(d):
+                den, numerators = gen_product_in_p(basis, lam)
+                got = {nu: Fraction(a, den) for nu, a in numerators.items()}
+                assert got == _old_product_in_p(basis, lam), (basis, lam)
 
 
 def test_p_scalar_specialize():
