@@ -42,8 +42,7 @@ def _say(msg: str) -> None:
 
 def _provider(args) -> KerovProvider:
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV_VAR) or None
-    budget = getattr(args, "sampling_budget", None)
-    return KerovProvider(cache_dir=cache_dir, sampling_budget=budget)
+    return KerovProvider(cache_dir=cache_dir)
 
 
 def _jobs(args) -> int:
@@ -51,15 +50,9 @@ def _jobs(args) -> int:
     return jobs if jobs else (os.cpu_count() or 1)
 
 
-def _add_common(sub, budget: bool = True) -> None:
+def _add_common(sub) -> None:
     sub.add_argument("--cache-dir", help="directory for the K_r cache (or set KEROVLAB_CACHE)")
     sub.add_argument("--jobs", type=int, help="parallel workers (default: available cores)")
-    if budget:
-        sub.add_argument(
-            "--sampling-budget",
-            type=int,
-            help="number of diagram weights sampled per interpolation",
-        )
 
 
 def cmd_kerov(args) -> int:
@@ -213,8 +206,6 @@ def _validate(args) -> None:
         raise ValueError("--r-max must be >= 2")
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    if getattr(args, "sampling_budget", None) is not None and args.sampling_budget < 1:
-        raise ValueError("--sampling-budget must be >= 1")
 
 
 def main(argv=None) -> int:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
-from .partitions import Partition, enumerate_partitions, multiplicities
+from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -136,41 +135,31 @@ def _cumulant_list(lam: Partition, k_max: int) -> list[int]:
     return cached
 
 
-def _script_r(mu: Partition, r: dict[int, Fraction]) -> Fraction:
-    """prod_i ((i-1) R_i)^{m_i} / m_i! for a partition with parts >= 2."""
-    val = Fraction(1)
-    for i, m in multiplicities(mu).items():
-        val *= ((i - 1) * r[i]) ** m
-        val /= factorial(m)
-    return val
+def _c_series(lam: Partition, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
+    """C_0..C_{n_max} and the (i-1) R_i, from C(z) = 1/(1 - X(z)) with
+    X(z) = sum_i (i-1) R_i z^i: C_n = sum_i (i-1) R_i C_{n-i}."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    r = free_cumulants(lam, max(2, n_max)) if n_max >= 2 else {}
+    x = [Fraction(0)] * 2 + [(i - 1) * r[i] for i in range(2, n_max + 1)]
+    c = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        c.append(sum((x[i] * c[n - i] for i in range(2, n + 1)), Fraction(0)))
+    return c, x
 
 
 def c_values(lam: Partition, n_max: int) -> dict[int, Fraction]:
     """C_0..C_{n_max} for this diagram: C_n = sum_{|mu|=n} l(mu)! script_R_mu."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    r = free_cumulants(lam, max(2, n_max)) if n_max >= 2 else {}
-    out: dict[int, Fraction] = {}
-    for n in range(n_max + 1):
-        total = Fraction(0)
-        for mu in enumerate_partitions(n, 2):
-            total += factorial(len(mu)) * _script_r(mu, r)
-        out[n] = total
-    return out
+    return dict(enumerate(_c_series(lam, n_max)[0]))
 
 
 def q_values(lam: Partition, n_max: int) -> dict[int, Fraction]:
-    """Q_0 = 1, Q_1 = 0, and Q_n = sum_{|mu|=n} (l(mu)-1)! script_R_mu."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    r = free_cumulants(lam, max(2, n_max)) if n_max >= 2 else {}
-    out: dict[int, Fraction] = {}
-    for n in range(n_max + 1):
-        if n == 0:
-            out[n] = Fraction(1)
-            continue
-        total = Fraction(0)
-        for mu in enumerate_partitions(n, 2):
-            total += factorial(len(mu) - 1) * _script_r(mu, r)
-        out[n] = total
-    return out
+    """Q_0 = 1, Q_1 = 0, and Q_n = sum_{|mu|=n} (l(mu)-1)! script_R_mu.
+
+    Q(z) = -log(1 - X(z)), so Q' = X' C and n Q_n = sum_i i x_i C_{n-i}.
+    """
+    c, x = _c_series(lam, n_max)
+    q = {0: Fraction(1)}
+    for n in range(1, n_max + 1):
+        q[n] = sum((i * x[i] * c[n - i] for i in range(2, n + 1)), Fraction(0)) / n
+    return q

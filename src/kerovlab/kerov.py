@@ -1,10 +1,11 @@
 """Kerov character polynomials and the R / C / Q generator families.
 
-K_r is reconstructed by exact interpolation against the character engine:
-the unknown support is the parity-admissible set of cumulant monomials, rows
-are diagrams sampled weight by weight until the evaluation matrix provably
-reaches full column rank, and the solved polynomial is re-verified against
-the character oracle on held-out diagrams.
+K_r comes from Biane's closed form in the log-moments of a diagram, with no
+linear solve, and is served only with a certificate against the character
+engine: weight by weight, the cores still live reach full column rank mod p
+on sampled diagrams and the closed form matches the integer character on
+every pivot diagram, which forces it to equal K_r; 300 seeded other diagrams
+and ten held-out ones are checked on top.
 
 Generator-family conversion is a series substitution in the quotient ring
 where the degree-one generators vanish: with X = sum (i-1) R_i z^i, the
@@ -22,11 +23,12 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
 from .characters import normalized_character
-from .cumulants import _cumulant_list, c_values, free_cumulants, q_values
-from .linalg import ModularEchelon, solve_exact
+from .cumulants import _cumulant_list, free_cumulants
+from .linalg import ModularEchelon
 from .partitions import (
     Partition,
     check_partition,
@@ -35,6 +37,7 @@ from .partitions import (
     mult_factorial,
     multiplicities,
     power_sum_value,
+    z_factor,
 )
 from .symfunc import _free_mul, _sort_key, phi_hat
 
@@ -44,23 +47,8 @@ CACHE_FORMAT_VERSION = 1
 CACHE_ENV_VAR = "KEROVLAB_CACHE"
 
 
-def default_sampling_budget(r: int) -> int:
-    """Largest number of weights sampled: n = r, ..., r + budget - 1.
-
-    For a core monomial g in the R_k (k >= 3) alone, the chain g * R_2^j
-    restricts on each fixed-weight stratum to a multiple of g, so telling the
-    chain members apart needs as many distinct weights as the chain is long.
-    The longest chain has the empty core for odd r and core (3) for even r;
-    two extra weights of margin are added on top.  The same chains bound the
-    rank each weight can add, which lets compute_kerov stop every weight at
-    its bound; the budget only caps how many weights may be visited.
-    """
-    chain = (r + 1) // 2 + 1 if r % 2 else (r - 2) // 2 + 1
-    return max(4, chain + 2)
-
-
 class KerovComputationError(RuntimeError):
-    """Interpolation could not be completed or failed its self-checks."""
+    """K_r failed its certificate against the character oracle."""
 
 
 class CumulantPolynomial:
@@ -198,18 +186,74 @@ def kerov_findings(k: KerovPolynomial) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# interpolation against the character oracle
+# K_r in closed form, certified against the character oracle
 # ---------------------------------------------------------------------------
 
 
 def kerov_support(r: int) -> list[Partition]:
     """Monomials that can appear in K_r: parts >= 2, weight <= r+1, weight ~ r+1 mod 2."""
-    support: list[Partition] = []
-    for w in range(r + 1, -1, -1):
-        if w % 2 != (r + 1) % 2:
-            continue
-        support.extend(enumerate_partitions(w, 2))
+    support = [mu for w in range(r + 1, -1, -2) for mu in enumerate_partitions(w, 2)]
     return sorted(support, key=_sort_key)
+
+
+def _core(mu: Partition) -> Partition:
+    return tuple(p for p in mu if p != 2)
+
+
+def _cores(r: int) -> Counter:
+    """Core g (free of 2s) -> chain length L_g: the support holds g * R_2^i, i < L_g."""
+    return Counter(_core(mu) for mu in kerov_support(r))
+
+
+# nu -> L_nu = prod L_{nu_i} in the R_i, where L_n = n [u^n] log M(u) for the
+# moment series M; Lagrange inversion of M = 1 + sum R_s (uM)^s gives
+# L_n = sum over mu |- n with parts >= 2 of n! / ((n - l(mu))! prod m_i(mu)!) R_mu.
+_log_moments: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
+
+
+def _log_moment_monomial(nu: Partition) -> dict[Partition, int]:
+    got = _log_moments.get(nu)
+    if got is None:  # the suffix product L_{nu_1} * L_{nu[1:]}
+        n = nu[0]
+        head = {mu: factorial(n) // (factorial(n - len(mu)) * mult_factorial(mu))
+                for mu in enumerate_partitions(n, 2)}
+        got = _log_moments[nu] = _free_mul(head, _log_moment_monomial(nu[1:]))
+    return got
+
+
+def _closed_form(r: int) -> dict[Partition, Fraction]:
+    """The terms of K_r from Biane's formula (LNM 1815, 2003), with no solve.
+
+    Sigma_r = -(1/r) [u^{r+1}] prod_{j<r} (1 - ju) / M(u/(1 - ju)), whose log
+    is sum_N Lambda_N u^N, Lambda_N = -S_N/N - sum_n C(N-1, N-n) S_{N-n} L_n/n
+    with S_m = sum_{j<r} j^m.  Solving the Newton recurrence for its exp
+    monomial by monomial, with c(u) = prod_{j<r} (1 - ju) and
+    B_n(u) = sum_{j<r} (u/(1-ju))^n, gives
+    K_r = sum_nu (-1)^{l(nu)+1} / (r z_nu) [u^{r+1}] (c(u) prod_i B_{nu_i}(u)) L_nu.
+    The u-series are integer suffix products; only the last step divides.
+    """
+    top = r + 1
+    s = [sum(j**m for j in range(r)) for m in range(top + 1)]
+    c = [1] + [0] * top
+    for j in range(1, r):
+        c = [1] + [a - j * b for a, b in zip(c[1:], c)]
+    series = {(): c}  # nu -> c(u) prod_i B_{nu_i}(u) / u^|nu|, to degree r + 1 - |nu|
+
+    def product(nu: Partition) -> list[int]:
+        got = series.get(nu)
+        if got is None:
+            rest = product(nu[1:])
+            b = [comb(nu[0] + k - 1, k) * s[k] for k in range(top - sum(nu) + 1)]  # B_n / u^n
+            got = series[nu] = [sum(map(mul, b[: k + 1], rest[k::-1])) for k in range(len(b))]
+        return got
+
+    scale, out = factorial(top), {}  # z_nu divides |nu|!, hence (r+1)!
+    for w in range(top + 1):
+        for nu in enumerate_partitions(w, 2):
+            coef = (-1) ** (len(nu) + 1) * (scale // z_factor(nu)) * product(nu)[top - w]
+            if coef:
+                _free_mul({(): coef}, _log_moment_monomial(nu), out)
+    return {mu: Fraction(v, r * scale) for mu, v in out.items()}
 
 
 def _evaluation_row(support, cums, cache) -> list[int]:
@@ -234,102 +278,78 @@ def _integer_character(lam: Partition, r: int) -> int:
     return int(chi)
 
 
-def compute_kerov(r: int, sampling_budget: int | None = None) -> KerovPolynomial:
-    """Interpolate K_r from normalized character values.
+def compute_kerov(r: int) -> KerovPolynomial:
+    """K_r from its closed form F, certified against the character oracle.
 
-    Diagrams are sampled by increasing weight starting at n = r until the
-    evaluation matrix reaches full column rank (certified modulo a word-size
-    prime), the square pivot subsystem is solved exactly, the solution is
-    checked against the sampled non-pivot rows (a seeded sample of 300 when
-    there are more than 3,000), and finally re-verified on ten held-out
-    diagrams of weight up to r + 6.
-
-    Each weight stops at its rank bound.  A support monomial is core * R_2^i
-    with a core free of 2s, and R_2 = n on every diagram of weight n, so on
-    weights r..r+j the columns of one core span at most min(L, j + 1)
-    dimensions, L being the core's chain length.  Once the rank mod p reaches
-    bound_j = sum over cores of min(L, j + 1) (rank mod p never exceeds the
-    rank over Q), no further row of weight <= r + j can add a pivot.  The
-    rest of the weight joins the non-pivot list without its row or character
-    being built, so the pivots, the solve and the diagrams the re-check and
-    held-out passes pick are exactly those of sampling every diagram.
-    Characters are computed only for rows that are solved or checked.
+    On weight n, R_2 = n, so D = F - K_r is sum_g g * d_g(n) over the cores g,
+    with deg d_g < L_g.  At n = r + j the cores with L_g <= j are dead (d_g
+    vanished at L_g earlier weights); diagrams of weight n join an echelon mod
+    p over the live cores until it has full column rank (so full rank over Q),
+    and F must equal the integer character on every pivot diagram.  That
+    forces d_g(n) = 0 for the live cores, so D = 0 after the longest chain.
+    A seeded 300 of the other diagrams are checked too and ten held out.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
-    budget = default_sampling_budget(r) if sampling_budget is None else sampling_budget
-    if budget < 1:
-        raise ValueError("sampling budget must be >= 1")
-    support = kerov_support(r)
-    ncols = len(support)
-    # chain length of each core: the support monomials core * R_2^i
-    chains = Counter(tuple(p for p in mu if p != 2) for mu in support).values()
-    ech = ModularEchelon(ncols)
-    pivot_rows: list[list[int]] = []
-    pivot_rhs: list[int] = []
-    pivot_set: set[Partition] = set()
-    others: list[Partition] = []  # non-pivot diagrams, rows rebuilt on demand
-    n_stop = r - 1
-    for n in range(r, r + budget):
-        if ech.rank == ncols:
-            break
-        n_stop = n
-        bound = sum(min(length, n - r + 1) for length in chains)
+    terms = _closed_form(r)
+    outside = set(terms).difference(kerov_support(r))
+    if outside:
+        raise KerovComputationError(f"K_{r}: closed form leaves the support at {min(outside)}")
+    chains = _cores(r)
+    cores = list(chains)
+    den = lcm(*(c.denominator for c in terms.values()))  # den * F = sum_g g * f_g(R_2)
+    f_coeffs = {g: [0] * length for g, length in chains.items()}
+    for mu, c in terms.items():
+        f_coeffs[_core(mu)][mu.count(2)] = int(c * den)
+    f_values: dict[int, list[int]] = {}  # n -> f_g(n) for every core
+
+    def row_of(lam: Partition) -> list[int]:
+        return _evaluation_row(cores, _cumulant_list(lam, r + 1), {})
+
+    def check(lam: Partition, row: list[int]) -> None:
+        n = sum(lam)
+        if n not in f_values:
+            f_values[n] = [sum(a * n**i for i, a in enumerate(f_coeffs[g])) for g in cores]
+        if sum(map(mul, row, f_values[n])) != den * _integer_character(lam, r):
+            raise KerovComputationError(f"K_{r}: closed form does not fit diagram {lam}")
+
+    others: list[Partition] = []  # the diagrams of these weights that were not pivots
+    for j in range(max(chains.values())):
+        n = r + j
+        live = [k for k, g in enumerate(cores) if chains[g] > j]
+        ech = ModularEchelon(len(live))
         diagrams = enumerate_partitions(n)
         for i, lam in enumerate(diagrams):
-            if ech.rank == bound:
+            if ech.rank == len(live):
                 others.extend(diagrams[i:])
                 break
-            cums = _cumulant_list(lam, r + 1)
-            row = _evaluation_row(support, cums, {})
-            if ech.add_row(row):
-                pivot_rows.append(row)
-                pivot_rhs.append(_integer_character(lam, r))
-                pivot_set.add(lam)
+            row = row_of(lam)
+            if ech.add_row([row[k] for k in live]):
+                check(lam, row)
             else:
                 others.append(lam)
-    if ech.rank < ncols:
-        raise KerovComputationError(
-            f"K_{r}: rank {ech.rank} of {ncols} after sampling diagrams of "
-            f"weight {r}..{n_stop}; increase the sampling budget"
-        )
-    try:
-        x = solve_exact(pivot_rows, pivot_rhs)
-    except ValueError as exc:
-        raise KerovComputationError(f"K_{r}: exact solve failed: {exc}") from exc
-    if all(v.denominator == 1 for v in x):
-        x = [int(v) for v in x]  # keeps the residual checks in integer arithmetic
-    # re-check the solution against sampled diagrams outside the solve; all of
-    # them at ordinary scale, a seeded sample on very large runs
-    if len(others) > 3000:
-        rng = random.Random(20_000 + r)
-        others = rng.sample(others, 300)
-    for lam in others:
-        cums = _cumulant_list(lam, r + 1)
-        row = _evaluation_row(support, cums, {})
-        if sum(c * v for c, v in zip(row, x)) != _integer_character(lam, r):
-            raise KerovComputationError(f"K_{r}: solution does not fit diagram {lam}")
-    poly = CumulantPolynomial("R", {mu: v for mu, v in zip(support, x) if v})
-    kp = KerovPolynomial(r, poly)
-    _verify_held_out(kp, n_stop, pivot_set, others)
+        if ech.rank < len(live):
+            raise KerovComputationError(
+                f"K_{r}: rank {ech.rank} of {len(live)} live cores at weight {n}"
+            )
+    recheck = random.Random(20_000 + r).sample(others, min(300, len(others)))
+    for lam in recheck:
+        check(lam, row_of(lam))
+    rechecked = set(recheck)
+    pool = [lam for lam in others if lam not in rechecked]
+    while len(pool) < 10:  # small r: add the next weights, none of them sampled
+        n += 1
+        pool.extend(enumerate_partitions(n))
+    kp = KerovPolynomial(r, CumulantPolynomial("R", terms))
+    _verify_held_out(kp, pool)
     return kp
 
 
-def _verify_held_out(kp, n_stop, pivot_set, sampled) -> None:
-    """Re-check the polynomial against the oracle on diagrams outside the solve.
-
-    Prefers diagrams of weights never sampled (up to r + 6); when sampling
-    already consumed those weights, falls back to sampled diagrams whose rows
-    were not pivots of the solve.
-    """
+def _verify_held_out(kp: KerovPolynomial, pool: list[Partition]) -> list[Partition]:
+    """Evaluate the polynomial at the free cumulants of ten seeded diagrams of
+    the pool against the oracle; returns the ten."""
     r = kp.r
-    pool: list[Partition] = []
-    for n in range(n_stop + 1, r + 7):
-        pool.extend(enumerate_partitions(n))
-    if len(pool) < 10:
-        pool.extend(lam for lam in sampled if sum(lam) <= r + 6 and lam not in pivot_set)
-    rng = random.Random(10_000 + r)
-    picks = rng.sample(pool, min(10, len(pool)))
+    picks = random.Random(10_000 + r).sample(pool, 10)
     for lam in picks:
         got = kp.poly.evaluate(free_cumulants(lam, r + 1))
         want = normalized_character(lam, r)
@@ -337,23 +357,12 @@ def _verify_held_out(kp, n_stop, pivot_set, sampled) -> None:
             raise KerovComputationError(
                 f"K_{r}: held-out check failed at lambda={lam}: {got} != {want}"
             )
+    return picks
 
 
 def graded_component(kp: KerovPolynomial, s: int) -> CumulantPolynomial:
     """The weight-s part K_{r,s}; the zero polynomial when nothing has weight s."""
     return kp.poly.weight_component(s)
-
-
-def evaluate_at_diagram(poly: CumulantPolynomial, lam: Partition) -> Fraction:
-    """Evaluate a polynomial in any family at the numeric values of a diagram."""
-    top = max((mu[0] for mu in poly.terms if mu), default=2)
-    if poly.family == "R":
-        values = free_cumulants(lam, top)
-    elif poly.family == "C":
-        values = c_values(lam, top)
-    else:
-        values = q_values(lam, top)
-    return poly.evaluate(values)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +539,8 @@ def _cache_payload(kp: KerovPolynomial) -> dict:
     }
 
 
-def _compute_terms(args) -> tuple[int, list[dict]]:
-    r, budget = args
-    return r, _cache_payload(compute_kerov(r, budget))["terms"]
+def _compute_terms(r: int) -> tuple[int, list[dict]]:
+    return r, _cache_payload(compute_kerov(r))["terms"]
 
 
 class KerovProvider:
@@ -542,9 +550,8 @@ class KerovProvider:
     version-stale files are ignored and regenerated.
     """
 
-    def __init__(self, cache_dir: str | None = None, sampling_budget: int | None = None):
+    def __init__(self, cache_dir: str | None = None):
         self.cache_dir = cache_dir
-        self.sampling_budget = sampling_budget
         self._mem: dict[int, KerovPolynomial] = {}
 
     def get(self, r: int) -> KerovPolynomial:
@@ -552,7 +559,7 @@ class KerovProvider:
         if kp is None:
             kp = self._load_disk(r)
         if kp is None:
-            kp = compute_kerov(r, self.sampling_budget)
+            kp = compute_kerov(r)
             self._store_disk(kp)
         self._mem[r] = kp
         return kp
@@ -571,8 +578,7 @@ class KerovProvider:
                 from concurrent.futures import ProcessPoolExecutor
 
                 with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
-                    work = [(r, self.sampling_budget) for r in todo]
-                    for r, terms in pool.map(_compute_terms, work):
+                    for r, terms in pool.map(_compute_terms, todo):
                         kp = KerovPolynomial(r, CumulantPolynomial.from_terms_json("R", terms))
                         self._mem[r] = kp
                         self._store_disk(kp)

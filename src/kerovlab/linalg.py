@@ -1,22 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Three tools tuned for the interpolation workloads here:
+* ModularEchelon -- incremental column rank mod p in pure Python; rank mod p
+  never exceeds the rational rank, so full rank mod p certifies full rank.
+* solve_exact / solve_crt -- multi-prime solving with Chinese remaindering,
+  accepted only after an exact integer check of every equation; numpy loads
+  inside _solve_mod_p only.  solve_bareiss is a fraction-free reference.
+* FractionEchelon -- labelled echelon over Q for extraction; inconsistent
+  rows are recorded, not raised.
 
-* ModularEchelon -- incremental column-rank tracking modulo a word-size
-  prime; rank mod p never exceeds the rational rank, so "full rank mod p"
-  certifies full rational rank and the recorded pivot rows give a square
-  subsystem that is provably invertible over Q.
-* solve_exact / solve_crt -- every exact solve is modular: multi-prime
-  solving with Chinese remaindering and rational reconstruction, accepted
-  only after an exact integer check against every original equation.
-* solve_bareiss -- fraction-free Gaussian elimination on integer matrices,
-  kept as an independent reference for the modular solver.
+K_r needs no solve, so the solvers have no program caller; the tests and the
+benchmark's layer list still use them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -45,6 +45,7 @@ def _is_prime(n: int) -> bool:
 
 # primes just under 2^31: products of two residues stay inside int64
 _primes: list[int] = [2147483647]
+ECHELON_PRIME = 33_554_393  # the largest prime below 2^25
 
 
 def word_primes(count: int) -> list[int]:
@@ -65,35 +66,41 @@ def clear_denominators(row) -> list[int]:
 
 
 class ModularEchelon:
-    """Row echelon basis mod p, grown one row at a time."""
+    """Row echelon basis mod p, grown one row at a time.
+
+    Basis row k is 1 in its pivot column and 0 in the earlier ones, so a new
+    row's coefficient on it is its entry there less the earlier rows' share.
+    The basis is stored by column, so each reduction is one C-level dot
+    product; below 2^25, sums of 2^13 products stay in a machine word.
+    """
 
     def __init__(self, ncols: int, prime: int | None = None):
         self.ncols = ncols
-        self.p = prime or word_primes(1)[0]
-        self.rows: list = []  # numpy int64 rows, reduced mod p
+        self.prime = prime or ECHELON_PRIME
         self.pivot_cols: list[int] = []
+        self._pivots: list[list[int]] = []  # pivot k's column in basis rows 0..k-1
+        self._free: dict[int, list[int]] = {j: [] for j in range(ncols)}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivot_cols)
 
     def add_row(self, row_ints) -> bool:
         """Reduce a row against the basis; returns True if it added a pivot."""
-        import numpy as np  # loaded only when a modular echelon is used
-
-        p = self.p
-        row = np.array([x % p for x in row_ints], dtype=np.int64)
-        for col, basis in zip(self.pivot_cols, self.rows):
-            f = int(row[col])
-            if f:
-                row = (row - f * basis) % p
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
+        p = self.prime
+        coeffs: list[int] = []
+        for c, col in zip(self.pivot_cols, self._pivots):
+            coeffs.append((row_ints[c] - sum(map(mul, coeffs, col))) % p)
+        reduced = {j: (row_ints[j] - sum(map(mul, coeffs, col))) % p
+                   for j, col in self._free.items()}
+        pivot = next((j for j, v in reduced.items() if v), None)
+        if pivot is None:
             return False
-        col = int(nz[0])
-        inv = pow(int(row[col]), p - 2, p)
-        self.rows.append((row * inv) % p)
-        self.pivot_cols.append(col)
+        inv = pow(reduced.pop(pivot), p - 2, p)
+        self._pivots.append(self._free.pop(pivot))
+        for j, v in reduced.items():
+            self._free[j].append(v * inv % p)
+        self.pivot_cols.append(pivot)
         return True
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import kerovlab.kerov as kerov
 from kerovlab.kerov import KerovProvider
 
 _criteria: dict[int, tuple[str, str]] = {}
@@ -35,5 +36,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def provider():
-    """One shared provider so each K_r is interpolated once per test run."""
+    """One shared provider so each K_r is computed once per test run."""
     return KerovProvider()
+
+
+class _ShortEchelon(kerov.ModularEchelon):
+    def add_row(self, row_ints) -> bool:
+        return self.rank < self.ncols - 1 and super().add_row(row_ints)
+
+
+@pytest.fixture
+def short_echelon(monkeypatch):
+    """kerov's echelon stops one pivot short of full column rank."""
+    monkeypatch.setattr(kerov, "ModularEchelon", _ShortEchelon)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,23 +143,32 @@ def test_selftest_checksum_failure_exits_2(capsys, monkeypatch):
     conj._table_cache.clear()
 
 
-def test_interpolation_failure_exits_2(capsys):
-    code, out, err = run_cli(capsys, "kerov", "--r", "12", "--sampling-budget", "1")
+def test_interpolation_failure_exits_2(capsys, monkeypatch, short_echelon):
+    # an echelon that stops one pivot short of core rank fails the certificate
+    monkeypatch.delenv("KEROVLAB_CACHE", raising=False)
+    code, out, err = run_cli(capsys, "kerov", "--r", "12")
     assert code == 2
     assert out == ""
     assert "error: K_12: rank" in err
-
-
-def test_failed_solve_exits_2_without_usage(capsys, monkeypatch):
-    import kerovlab.linalg as linalg
-
-    monkeypatch.delenv("KEROVLAB_CACHE", raising=False)
-    monkeypatch.setattr(linalg, "_solve_mod_p", lambda rows, rhs, p: None)
-    code, out, err = run_cli(capsys, "kerov", "--r", "8")
-    assert code == 2
-    assert out == ""
-    assert "error: K_8: exact solve failed" in err
     assert "usage:" not in err
+
+
+def test_cold_kerov_never_imports_numpy(tmp_path):
+    script = (
+        "import contextlib, io, sys\n"
+        "from kerovlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['kerov', '--r', '10', '--cache-dir', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["0", "False"]
+    assert (tmp_path / "kerov_r10.json").exists()
 
 
 def test_verify_finding_exits_1(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -279,6 +280,25 @@ def test_q_values_examples():
     assert qv[2] == 2 and qv[3] == 4
     assert q_values((4, 1), 1) == {0: 1, 1: 0}
     assert q_values((2, 1), 4)[4] == Fraction(-27, 2)
+
+
+def test_c_q_values_match_partition_sums():
+    # the defining sums C_n = sum l(mu)! script_R_mu and Q_n = sum (l(mu)-1)!
+    # script_R_mu over |mu| = n with parts >= 2, script_R_mu = prod ((i-1) R_i)^m_i / m_i!
+    for n_lam in range(1, 9):
+        for lam in enumerate_partitions(n_lam):
+            r = free_cumulants(lam, 9)
+            cv, qv = c_values(lam, 9), q_values(lam, 9)
+            for n in range(2, 10):
+                want_c = want_q = Fraction(0)
+                for mu in enumerate_partitions(n, 2):
+                    script = Fraction(1)
+                    for i in set(mu):
+                        m = mu.count(i)
+                        script *= ((i - 1) * r[i]) ** m / factorial(m)
+                    want_c += factorial(len(mu)) * script
+                    want_q += factorial(len(mu) - 1) * script
+                assert (cv[n], qv[n]) == (want_c, want_q), (lam, n)
 
 
 def test_c_values_match_generating_series():

@@ -9,15 +9,13 @@ import pytest
 import kerovlab.kerov as kerov
 import kerovlab.linalg as linalg
 from kerovlab.characters import normalized_character
-from kerovlab.cumulants import c_values, free_cumulants, q_values
+from kerovlab.cumulants import c_values, diagram_to_interlacing, free_cumulants, q_values
 from kerovlab.kerov import (
     CumulantPolynomial,
     KerovComputationError,
     KerovProvider,
     change_generators,
     compute_kerov,
-    default_sampling_budget,
-    evaluate_at_diagram,
     graded_component,
     kerov_findings,
     kerov_support,
@@ -81,9 +79,9 @@ def test_oracle_equivalence():
                 assert polys[r].evaluate(cums) == normalized_character(lam, r), (lam, r)
 
 
-def test_budget_too_small_reports_rank():
+def test_short_core_rank_reports_rank(short_echelon):
     with pytest.raises(KerovComputationError, match="rank"):
-        compute_kerov(7, sampling_budget=2)
+        compute_kerov(7)
 
 
 # sha256 of the canonical cache JSON of K_8..K_13, as computed by sampling
@@ -116,9 +114,9 @@ def test_each_weight_stops_at_its_rank_bound(monkeypatch):
 
 
 def test_modular_solve_across_the_old_cutoff(monkeypatch):
-    # K_14 (94 unknowns), K_15 (137) and K_16 (160) lie on both sides of 150
-    # unknowns; each must come out of the modular solver with the digest the
-    # benchmark records for its cache file
+    # K_14 (94 support monomials), K_15 (137) and K_16 (160) lie on both sides
+    # of the old 150-unknown solver cutoff; each must come out with the digest
+    # the benchmark records for its cache file, and no solver may run
     golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
     digests = json.loads(golden.read_text())["cache_files"]
 
@@ -132,64 +130,117 @@ def test_modular_solve_across_the_old_cutoff(monkeypatch):
 
 
 def test_stop_keeps_the_pivots_of_full_sampling(monkeypatch):
-    solved = []
-    real_solve = kerov.solve_exact
+    # each weight stops at full rank on its live cores, with the pivots that
+    # adding every diagram of that weight finds
+    added = []  # (echelon, row, pivot?)
+    real_add_row = kerov.ModularEchelon.add_row
 
-    def recording_solve(rows, rhs):
-        solved.append(rows)
-        return real_solve(rows, rhs)
+    def recording_add_row(self, row):
+        got = real_add_row(self, row)
+        added.append((self, row, got))
+        return got
 
-    monkeypatch.setattr(kerov, "solve_exact", recording_solve)
+    monkeypatch.setattr(kerov.ModularEchelon, "add_row", recording_add_row)
     for r in range(8, 12):
-        # reference: every diagram of each weight, until full rank
-        support = kerov_support(r)
-        ech = kerov.ModularEchelon(len(support))
-        want = []
-        n = r
-        while ech.rank < len(support):
-            for lam in enumerate_partitions(n):
-                row = kerov._evaluation_row(support, kerov._cumulant_list(lam, r + 1), {})
-                if ech.add_row(row):
-                    want.append(row)
-            n += 1
-        solved.clear()
+        added.clear()
         compute_kerov(r)
-        assert solved == [want], r
+        chains = kerov._cores(r)
+        cores = list(chains)
+        echelons = list(dict.fromkeys(ech for ech, _, _ in added))
+        assert len(echelons) == max(chains.values()), r
+        for j, ech in enumerate(echelons):
+            live = [k for k, g in enumerate(cores) if chains[g] > j]
+            ref = linalg.ModularEchelon(len(live))
+            want = []
+            for lam in enumerate_partitions(r + j):
+                row = kerov._evaluation_row(cores, kerov._cumulant_list(lam, r + 1), {})
+                row = [row[k] for k in live]
+                if real_add_row(ref, row):
+                    want.append(row)
+            assert ech.rank == ref.rank == len(live), (r, j)
+            assert [row for e, row, pivot in added if e is ech and pivot] == want, (r, j)
 
 
 @pytest.mark.parametrize("r", [8, 9])
 def test_perturbed_solution_is_caught(monkeypatch, r):
-    real_solve = kerov.solve_exact
-    for k in range(len(kerov_support(r))):
+    # +1 on any single coefficient of the closed form, over the whole support
+    real_closed_form = kerov._closed_form
+    for mu in kerov_support(r):
 
-        def perturbed(rows, rhs, k=k):
-            x = real_solve(rows, rhs)
-            x[k] += 1
-            return x
+        def perturbed(r, mu=mu):
+            terms = real_closed_form(r)
+            terms[mu] = terms.get(mu, 0) + 1
+            return terms
 
-        monkeypatch.setattr(kerov, "solve_exact", perturbed)
+        monkeypatch.setattr(kerov, "_closed_form", perturbed)
         with pytest.raises(KerovComputationError, match="does not fit"):
             compute_kerov(r)
 
 
+def test_closed_form_outside_the_support_is_an_error(monkeypatch):
+    real_closed_form = kerov._closed_form
+    monkeypatch.setattr(kerov, "_closed_form", lambda r: {**real_closed_form(r), (2,): 1})
+    with pytest.raises(KerovComputationError, match="support"):
+        compute_kerov(8)
+
+
+def test_closed_form_matches_biane_generating_function():
+    # Sigma_r = -(1/r) [u^{r+1}] prod_{j<r} prod_i (1 - (x_i + j)u) / (1 - (y_i + j)u),
+    # expanded directly from the interlacing sequences of each diagram
+    for r in range(2, 9):
+        poly = CumulantPolynomial("R", kerov._closed_form(r))
+        for lam in enumerate_partitions(r + 2):
+            pair = diagram_to_interlacing(lam)
+            series = [1] + [0] * (r + 1)
+            for j in range(r):
+                for x in pair.x:  # times 1 - (x + j)u
+                    series = [1] + [c - (x + j) * d for c, d in zip(series[1:], series)]
+                for y in pair.y:  # divided by 1 - (y + j)u
+                    for k in range(1, r + 2):
+                        series[k] += (y + j) * series[k - 1]
+            want = Fraction(-series[r + 1], r)
+            assert want == normalized_character(lam, r), (r, lam)
+            assert poly.evaluate(free_cumulants(lam, r + 1)) == want, (r, lam)
+
+
 def test_held_out_check_catches_a_wrong_polynomial():
     kp = compute_kerov(8)
+    pool = [lam for n in range(9, 15) for lam in enumerate_partitions(n)]
     for mu in kp.poly.terms:
         wrong = kp.poly + CumulantPolynomial("R", {mu: 1})
         with pytest.raises(KerovComputationError, match="held-out"):
-            kerov._verify_held_out(kerov.KerovPolynomial(8, wrong), 8, set(), [])
+            kerov._verify_held_out(kerov.KerovPolynomial(8, wrong), pool)
+
+
+def test_held_out_checks_ten_unchecked_diagrams(monkeypatch):
+    # ten distinct diagrams at every r, none of them a pivot or re-checked one
+    picked, checked = [], []
+    real_verify, real_character = kerov._verify_held_out, kerov._integer_character
+
+    def recording_verify(kp, pool):
+        picked.append(real_verify(kp, pool))
+        return picked[-1]
+
+    def recording_character(lam, r):
+        checked.append(lam)
+        return real_character(lam, r)
+
+    monkeypatch.setattr(kerov, "_verify_held_out", recording_verify)
+    monkeypatch.setattr(kerov, "_integer_character", recording_character)
+    for r in range(2, 17):
+        picked.clear()
+        checked.clear()
+        compute_kerov(r)
+        [picks] = picked
+        assert len(set(picks)) == 10, r
+        assert not set(picks) & set(checked), r
+        assert all(sum(lam) >= r for lam in picks), r
 
 
 def test_non_integer_character_is_an_error(monkeypatch):
     monkeypatch.setattr(kerov, "normalized_character", lambda lam, r: Fraction(1, 2))
     with pytest.raises(KerovComputationError, match="not an integer"):
         compute_kerov(5)
-
-
-def test_default_budget_covers_the_r2_chains():
-    assert default_sampling_budget(7) >= 5
-    assert default_sampling_budget(13) >= 8
-    assert default_sampling_budget(14) >= 7
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +278,9 @@ def test_family_relations_match_numeric_values():
     for lam in [(3, 1), (2, 2, 1), (5, 3), (4, 2, 1)]:
         cv, qv = c_values(lam, 8), q_values(lam, 8)
         for n in range(2, 9):
-            assert evaluate_at_diagram(change_generators(CumulantPolynomial.gen("C", n), "R"), lam) == cv[n]
-            assert evaluate_at_diagram(change_generators(CumulantPolynomial.gen("Q", n), "R"), lam) == qv[n]
+            for family, want in (("C", cv[n]), ("Q", qv[n])):
+                poly = change_generators(CumulantPolynomial.gen(family, n), "R")
+                assert poly.evaluate(free_cumulants(lam, 8)) == want
 
 
 def test_family_relation_sums():

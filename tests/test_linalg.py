@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from kerovlab.linalg import (
+    ECHELON_PRIME,
     FractionEchelon,
     ModularEchelon,
+    _is_prime,
     _rational_reconstruct,
     clear_denominators,
     solve_bareiss,
@@ -111,6 +113,37 @@ def test_modular_echelon_rank_matches_exact_rank():
         for row in rows:
             ech.add_row(row)
         assert ech.rank == fraction_rank(rows)
+
+
+def test_modular_echelon_matches_rational_echelon_pivots():
+    # large entries, dependent rows and zero columns; the pivot columns are
+    # those of elimination over Q, taking each row's first free nonzero column
+    rng = random.Random(7)
+    for _ in range(6):
+        ncols, rank_target = rng.randint(10, 30), rng.randint(3, 12)
+        basis = [[rng.randint(-(10**30), 10**30) * rng.randint(0, 1) for _ in range(ncols)]
+                 for _ in range(rank_target)]
+        rows = []
+        for _ in range(2 * rank_target):
+            coeffs = [rng.randint(-3, 3) for _ in basis]
+            rows.append([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(ncols)])
+        ech, want, reduced = ModularEchelon(ncols), [], []
+        for row in rows:
+            x = [Fraction(v) for v in row]
+            for col, b in zip(want, reduced):
+                x = [a - x[col] * c for a, c in zip(x, b)]
+            col = next((j for j, v in enumerate(x) if v and j not in want), None)
+            assert ech.add_row(row) == (col is not None)
+            if col is not None:
+                reduced = [[a - b[col] / x[col] * c for a, c in zip(b, x)] for b in reduced]
+                reduced.append([v / x[col] for v in x])
+                want.append(col)
+        assert ech.pivot_cols == want and ech.rank == fraction_rank(rows)
+
+
+def test_echelon_prime_is_the_largest_below_2_25():
+    assert _is_prime(ECHELON_PRIME) and ECHELON_PRIME < 2**25
+    assert not any(_is_prime(n) for n in range(ECHELON_PRIME + 1, 2**25))
 
 
 def test_modular_echelon_tracks_pivot_rows():
