@@ -153,6 +153,28 @@ def test_interpolation_failure_exits_2(capsys, monkeypatch, short_echelon):
     assert "usage:" not in err
 
 
+def test_failed_solve_exits_2_without_usage(capsys, monkeypatch):
+    # K_r comes from the closed form; a wrong coefficient there must fail the
+    # certificate as an internal error, not as a usage error
+    import kerovlab.kerov as kerov
+
+    real = kerov._closed_form
+
+    def off_by_one(r):
+        terms = real(r)
+        mu = max(terms)
+        terms[mu] += 1
+        return terms
+
+    monkeypatch.delenv("KEROVLAB_CACHE", raising=False)
+    monkeypatch.setattr(kerov, "_closed_form", off_by_one)
+    code, out, err = run_cli(capsys, "kerov", "--r", "8")
+    assert code == 2
+    assert out == ""
+    assert "error: K_8: closed form does not fit diagram" in err
+    assert "usage:" not in err
+
+
 def test_cold_kerov_never_imports_numpy(tmp_path):
     script = (
         "import contextlib, io, sys\n"
