@@ -21,7 +21,6 @@ from .conjectures import (
     extract_symfunc,
     run_suite,
     selftest,
-    suite_r_values,
 )
 from .cumulants import free_cumulants
 from .kerov import CACHE_ENV_VAR, KerovProvider, change_generators, graded_component
@@ -126,7 +125,7 @@ def cmd_extract(args) -> int:
 
 def cmd_verify(args) -> int:
     provider = _provider(args)
-    provider.precompute(suite_r_values(args.suite, args.r_max), jobs=_jobs(args))
+    provider.precompute(SUITES[args.suite].r_values(args.r_max), jobs=_jobs(args))
     report = run_suite(args.suite, provider, r_max=args.r_max)
     _dump(report.to_json_dict())
     _say(f"suite {args.suite}: {'PASS' if report.ok else 'FAIL'}")
@@ -202,7 +201,7 @@ def _validate(args) -> None:
         raise ValueError("--max-k must be >= 2")
     if getattr(args, "r_min", None) is not None and args.r_min > args.r_max:
         raise ValueError("--r-min must not exceed --r-max")
-    if getattr(args, "r_max", None) is not None and args.r_max is not None and args.r_max < 2:
+    if getattr(args, "r_max", None) is not None and args.r_max < 2:
         raise ValueError("--r-max must be >= 2")
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         raise ValueError("--jobs must be >= 1")

@@ -5,9 +5,10 @@ symmetric functions describing Kerov components uniformly in r: f-family
 tables for the cumulant expansion (kinds c3, c4), the g-family table for the
 Q expansion (kind a3), and the degree-4 closed forms f2 / g2 / F2.  Each file
 is checksummed at load.  Verification compares the components predicted by
-these tables against the components of interpolated Kerov polynomials, and
+these tables against the components of the computed Kerov polynomials, and
 extraction goes the other way: it solves for the unknown symmetric function
-from computed components and reports rank, consistency and conflicts.
+from computed components and reports rank, consistency and conflicts.  Each
+verification suite is declared once in SUITES, with the r-range it runs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -133,40 +135,6 @@ def load_table(kind: str) -> PaperTable:
 # ---------------------------------------------------------------------------
 
 
-def predicted_component_f(k: int, r: int, f_k: SymFunc) -> CumulantPolynomial:
-    """R-family component predicted by the f-expansion:
-
-    C(r+1,3) * sum over |mu| = r-2k+1 of (l(mu)+2k-2)! f_k(mu) script-R_mu.
-    """
-    s = r - 2 * k + 1
-    if s < 0:
-        raise ValueError("need r - 2k + 1 >= 0")
-    pref = comb(r + 1, 3)
-    terms = {}
-    for mu in enumerate_partitions(s, 2):
-        coef = pref * factorial(len(mu) + 2 * k - 2) * f_k.evaluate(mu) * script_r_factor(mu)
-        if coef:
-            terms[mu] = coef
-    return CumulantPolynomial("R", terms)
-
-
-def predicted_component_g(k: int, r: int, g_k: SymFunc) -> CumulantPolynomial:
-    """Q-family component predicted by the g-expansion:
-
-    C(r+1,3) * sum over |mu| = r-2k+1 of (2k-1)^l(mu) g_k(mu) script-Q_mu.
-    """
-    s = r - 2 * k + 1
-    if s < 0:
-        raise ValueError("need r - 2k + 1 >= 0")
-    pref = comb(r + 1, 3)
-    terms = {}
-    for mu in enumerate_partitions(s, 2):
-        coef = Fraction(pref * (2 * k - 1) ** len(mu), mult_factorial(mu)) * g_k.evaluate(mu)
-        if coef:
-            terms[mu] = coef
-    return CumulantPolynomial("Q", terms)
-
-
 def _arrangements(mu: Partition, slots: int) -> int:
     """Ways to place the parts of mu into `slots` ordered slots, rest zero."""
     if len(mu) > slots:
@@ -174,26 +142,36 @@ def _arrangements(mu: Partition, slots: int) -> int:
     return factorial(slots) // (mult_factorial(mu) * factorial(slots - len(mu)))
 
 
-def predicted_component_F(k: int, r: int, F_k: SymFunc) -> CumulantPolynomial:
-    """C-family component predicted by the C-expansion:
-
-    C(r+1,3) * sum over vectors nu in N^(2k-1) with |nu| = r-2k+1 of
-    F_k(nu) C_nu; zero entries contribute C_0 = 1 and any entry 1 kills the
-    term since C_1 = 0.
-    """
-    s = r - 2 * k + 1
-    if s < 0:
-        raise ValueError("need r - 2k + 1 >= 0")
-    slots = 2 * k - 1
+def _structural_factor(target: str, k: int, r: int, mu: Partition) -> Fraction:
     pref = comb(r + 1, 3)
-    terms = {}
-    for mu in enumerate_partitions(s):
-        if len(mu) > slots or 1 in mu:
-            continue
-        coef = pref * _arrangements(mu, slots) * F_k.evaluate(mu)
-        if coef:
-            terms[mu] = coef
-    return CumulantPolynomial("C", terms)
+    if target == "f":
+        return pref * factorial(len(mu) + 2 * k - 2) * script_r_factor(mu)
+    if target == "g":
+        return Fraction(pref * (2 * k - 1) ** len(mu), mult_factorial(mu))
+    if target == "F":
+        return Fraction(pref * _arrangements(mu, 2 * k - 1))
+    raise ValueError(f"unknown target {target!r}")
+
+
+_TARGET_FAMILY = {"f": "R", "g": "Q", "F": "C"}
+
+
+def predicted_component(target: str, k: int, r: int, func: SymFunc) -> CumulantPolynomial:
+    """K_{r,r-2k+1} as the target's expansion predicts it from func, in its family.
+
+    C(r+1,3) times, summed over |mu| = r-2k+1 with parts >= 2:
+      f: (l(mu)+2k-2)! f_k(mu) script-R_mu;
+      g: (2k-1)^l(mu) g_k(mu) script-Q_mu;
+      F: F_k(nu) C_nu over vectors nu in N^(2k-1) that rearrange mu; zero
+         entries contribute C_0 = 1, and an entry 1 would give C_1 = 0.
+    """
+    if target not in _TARGET_FAMILY:
+        raise ValueError(f"unknown target {target!r}")
+    terms = {
+        mu: _structural_factor(target, k, r, mu) * func.evaluate(mu)
+        for mu in enumerate_partitions(r - 2 * k + 1, 2)
+    }
+    return CumulantPolynomial(_TARGET_FAMILY[target], terms)
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +203,6 @@ class ExtractionReport:
             ],
             "solution": None if self.solution is None else self.solution.to_json_dict(),
         }
-
-
-def _structural_factor(target: str, k: int, r: int, mu: Partition) -> Fraction:
-    pref = comb(r + 1, 3)
-    if target == "f":
-        return pref * factorial(len(mu) + 2 * k - 2) * script_r_factor(mu)
-    if target == "g":
-        return Fraction(pref * (2 * k - 1) ** len(mu), mult_factorial(mu))
-    if target == "F":
-        return Fraction(pref * _arrangements(mu, 2 * k - 1))
-    raise ValueError(f"unknown target {target!r}")
-
-
-_TARGET_FAMILY = {"f": "R", "g": "Q", "F": "C"}
 
 
 def extract_symfunc(
@@ -348,17 +312,8 @@ def verify_table(kind: str, r_range: tuple[int, int], provider: KerovProvider) -
         s = r - 2 * k + 1
         if s < 0:
             continue
-        if target == "f":
-            predicted = predicted_component_f(k, r, func)
-            family = "R"
-        elif target == "g":
-            predicted = predicted_component_g(k, r, func)
-            family = "Q"
-        else:
-            predicted = predicted_component_F(k, r, func)
-            family = "C"
-        computed = change_generators(provider.component(r, s), family)
-        mism = _first_mismatch(computed, predicted)
+        computed = provider.component(r, s, _TARGET_FAMILY[target])
+        mism = _first_mismatch(computed, predicted_component(target, k, r, func))
         checks.append(TableCheck(r=r, ok=mism is None, first_mismatch=mism))
     return TableVerification(kind=kind, checks=checks)
 
@@ -491,11 +446,8 @@ class SuiteReport:
         }
 
 
-def _suite_conj_table(kind: str, default_range: tuple[int, int]):
-    def run(provider: KerovProvider, r_max: int | None = None) -> SuiteReport:
-        lo, hi = default_range
-        if r_max is not None:
-            hi = min(hi, r_max)
+def _suite_conj_table(kind: str):
+    def run(provider: KerovProvider, lo: int, hi: int) -> SuiteReport:
         ver = verify_table(kind, (lo, hi), provider)
         findings = [
             f"{kind}: mismatch at r={c.r}: {c.first_mismatch}" for c in ver.checks if not c.ok
@@ -505,11 +457,10 @@ def _suite_conj_table(kind: str, default_range: tuple[int, int]):
     return run
 
 
-def _suite_closed_forms(provider: KerovProvider, r_max: int | None = None) -> SuiteReport:
-    r_hi = 14 if r_max is None else r_max
+def _suite_closed_forms(provider: KerovProvider, lo: int, hi: int) -> SuiteReport:
     findings = []
     checks = []
-    for r in range(3, r_hi + 1):
+    for r in range(lo, hi + 1):
         ok1 = provider.component(r, r - 1) == krr1_closed_form(r)
         checks.append({"r": r, "component": r - 1, "ok": ok1})
         if not ok1:
@@ -521,15 +472,16 @@ def _suite_closed_forms(provider: KerovProvider, r_max: int | None = None) -> Su
                 findings.append(f"weight r-3 closed form fails at r={r}")
     # the degree-4 closed forms need length-4 evaluation vectors, which first
     # appear at r = 11..12; their range is fixed rather than tied to r_max
+    fixed = SUITES["closed-forms"].fixed
     for kind in ("f2", "g2"):
         target, k = TABLE_TARGETS[kind]
-        rep = extract_symfunc(target, k, (5, 12), provider)
+        rep = extract_symfunc(target, k, fixed, provider)
         want = load_table(kind).to_symfunc()
         ok = rep.solution is not None and rep.solution == want
         checks.append({"extract": kind, "ok": ok, "rank": rep.system_rank})
         if not ok:
             findings.append(f"extraction does not reproduce the {kind} table")
-    verF = verify_table("F2", (5, 12), provider)
+    verF = verify_table("F2", fixed, provider)
     checks.append({"forward": "F2", "ok": verF.ok})
     if not verF.ok:
         findings.append("F2 forward check fails")
@@ -544,20 +496,18 @@ def _suite_closed_forms(provider: KerovProvider, r_max: int | None = None) -> Su
     return SuiteReport("closed-forms", not findings, findings, {"checks": checks})
 
 
-def _suite_positivity_R(provider: KerovProvider, r_max: int | None = None) -> SuiteReport:
-    r_hi = 14 if r_max is None else r_max
+def _suite_positivity_R(provider: KerovProvider, lo: int, hi: int) -> SuiteReport:
     findings = []
-    for r in range(2, r_hi + 1):
+    for r in range(lo, hi + 1):
         findings.extend(kerov_findings(provider.get(r)))
-    return SuiteReport("positivity-R", not findings, findings, {"r_max": r_hi})
+    return SuiteReport("positivity-R", not findings, findings, {"r_max": hi})
 
 
 def _suite_positivity_family(family: str):
-    def run(provider: KerovProvider, r_max: int | None = None) -> SuiteReport:
-        r_hi = 14 if r_max is None else r_max
+    def run(provider: KerovProvider, lo: int, hi: int) -> SuiteReport:
         findings = []
         checked = 0
-        for r in range(2, r_hi + 1):
+        for r in range(lo, hi + 1):
             k = 1
             while r - 2 * k + 1 >= 0:
                 s = r - 2 * k + 1
@@ -571,21 +521,20 @@ def _suite_positivity_family(family: str):
                         )
                 k += 1
         return SuiteReport(
-            f"positivity-{family}", not findings, findings, {"r_max": r_hi, "components": checked}
+            f"positivity-{family}", not findings, findings, {"r_max": hi, "components": checked}
         )
 
     return run
 
 
-def _suite_kerov_theorem(provider: KerovProvider, r_max: int | None = None) -> SuiteReport:
-    r_cap = 8 if r_max is None else min(r_max, 8)
+def _suite_kerov_theorem(provider: KerovProvider, lo: int, hi: int) -> SuiteReport:
     lam_max = 11
     findings = []
     checked = 0
     for n in range(2, lam_max + 1):
         for lam in enumerate_partitions(n):
-            cums = free_cumulants(lam, min(n, r_cap) + 1)
-            for r in range(2, min(n, r_cap) + 1):
+            cums = free_cumulants(lam, min(n, hi) + 1)
+            for r in range(lo, min(n, hi) + 1):
                 checked += 1
                 got = provider.get(r).poly.evaluate(cums)
                 want = normalized_character(lam, r)
@@ -596,10 +545,9 @@ def _suite_kerov_theorem(provider: KerovProvider, r_max: int | None = None) -> S
     )
 
 
-def _suite_lemmas(provider: KerovProvider, r_max: int | None = None) -> SuiteReport:
-    n_hi = 10 if r_max is None else min(r_max, 10)
+def _suite_lemmas(provider: KerovProvider, lo: int, hi: int) -> SuiteReport:
     findings = []
-    for n in range(1, n_hi + 1):
+    for n in range(lo, hi + 1):
         for name, pair in (
             ("triple-e/p", lemma_triple_e_in_p(n)),
             ("triple-e/p weighted", lemma_triple_e_in_p_weighted(n)),
@@ -612,48 +560,63 @@ def _suite_lemmas(provider: KerovProvider, r_max: int | None = None) -> SuiteRep
     draws = 20
     for _ in range(draws):
         a, b, c = (Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(3))
-        for n in range(0, min(12, n_hi + 2) + 1):
+        for n in range(0, min(12, hi + 2) + 1):
             brute = triple_sum_bruteforce(a, b, c, n)
             for fam in ("R", "Q"):
                 if change_generators(brute, fam) != weighted_triple_sum(a, b, c, n, fam):
                     findings.append(f"triple sum {fam}-form fails at n={n}, (a,b,c)=({a},{b},{c})")
-    return SuiteReport("lemmas", not findings, findings, {"n_max": n_hi, "draws": draws})
+    return SuiteReport("lemmas", not findings, findings, {"n_max": hi, "draws": draws})
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A verification suite and the range first..top of r (n for lemmas) it runs.
+
+    --r-max replaces top, or only lowers it when `capped`.  `fixed` is an r
+    range the suite reads whatever --r-max says, and a suite that reads no
+    K_r (`kerov` false) requests none.
+    """
+
+    run: Callable[[KerovProvider, int, int], SuiteReport]
+    first: int
+    top: int
+    capped: bool
+    fixed: tuple[int, int] | None = None
+    kerov: bool = True
+
+    def top_for(self, r_max: int | None) -> int:
+        if r_max is None:
+            return self.top
+        return min(self.top, r_max) if self.capped else r_max
+
+    def r_values(self, r_max: int | None = None) -> list[int]:
+        """Kerov polynomial orders the suite requests; used to precompute in parallel."""
+        if not self.kerov:
+            return []
+        hi = self.top_for(r_max)
+        if self.fixed:
+            hi = max(hi, self.fixed[1])
+        return list(range(self.first, hi + 1))
 
 
 SUITES = {
-    "conj3": _suite_conj_table("c3", (7, 13)),
-    "conj4": _suite_conj_table("c4", (9, 12)),
-    "conj8": _suite_conj_table("a3", (7, 13)),
-    "closed-forms": _suite_closed_forms,
-    "positivity-R": _suite_positivity_R,
-    "positivity-C": _suite_positivity_family("C"),
-    "positivity-Q": _suite_positivity_family("Q"),
-    "kerov-theorem": _suite_kerov_theorem,
-    "lemmas": _suite_lemmas,
+    "conj3": Suite(_suite_conj_table("c3"), 7, 13, capped=True),
+    "conj4": Suite(_suite_conj_table("c4"), 9, 12, capped=True),
+    "conj8": Suite(_suite_conj_table("a3"), 7, 13, capped=True),
+    "closed-forms": Suite(_suite_closed_forms, 3, 14, capped=False, fixed=(5, 12)),
+    "positivity-R": Suite(_suite_positivity_R, 2, 14, capped=False),
+    "positivity-C": Suite(_suite_positivity_family("C"), 2, 14, capped=False),
+    "positivity-Q": Suite(_suite_positivity_family("Q"), 2, 14, capped=False),
+    "kerov-theorem": Suite(_suite_kerov_theorem, 2, 8, capped=True),
+    "lemmas": Suite(_suite_lemmas, 1, 10, capped=True, kerov=False),
 }
-
-
-def suite_r_values(name: str, r_max: int | None = None) -> list[int]:
-    """Kerov polynomial orders a suite will request; used to precompute in parallel."""
-    if name == "conj3":
-        return list(range(7, min(13, r_max or 13) + 1))
-    if name == "conj4":
-        return list(range(9, min(12, r_max or 12) + 1))
-    if name == "conj8":
-        return list(range(7, min(13, r_max or 13) + 1))
-    if name == "closed-forms":
-        return list(range(3, max(12, 14 if r_max is None else r_max) + 1))
-    if name.startswith("positivity"):
-        return list(range(2, (14 if r_max is None else r_max) + 1))
-    if name == "kerov-theorem":
-        return list(range(2, (8 if r_max is None else min(r_max, 8)) + 1))
-    return []
 
 
 def run_suite(name: str, provider: KerovProvider, r_max: int | None = None) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; options: {', '.join(sorted(SUITES))}")
-    return SUITES[name](provider, r_max)
+    suite = SUITES[name]
+    return suite.run(provider, suite.first, suite.top_for(r_max))
 
 
 def selftest(provider: KerovProvider | None = None) -> list[SuiteReport]:
@@ -663,10 +626,9 @@ def selftest(provider: KerovProvider | None = None) -> list[SuiteReport]:
     for kind in ("c3", "c4", "a3", "f2", "g2", "F2"):
         load_table(kind)  # raises ChecksumError on corruption
     reports.append(SuiteReport("checksums", True, [], {"tables": 6}))
-    reports.append(_suite_lemmas(provider, r_max=6))
-    reports.append(_suite_kerov_theorem(provider, r_max=5))
-    reports.append(_suite_closed_forms(provider, r_max=8))
-    reports.append(run_suite("conj3", provider, r_max=9))
-    reports.append(run_suite("conj8", provider, r_max=9))
-    reports.append(_suite_positivity_R(provider, r_max=9))
+    for name, r_max in (
+        ("lemmas", 6), ("kerov-theorem", 5), ("closed-forms", 8),
+        ("conj3", 9), ("conj8", 9), ("positivity-R", 9),
+    ):
+        reports.append(run_suite(name, provider, r_max))
     return reports

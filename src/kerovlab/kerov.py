@@ -31,15 +31,13 @@ from .cumulants import _cumulant_list, free_cumulants
 from .linalg import ModularEchelon
 from .partitions import (
     Partition,
-    check_partition,
     enumerate_partitions,
-    format_rational,
     mult_factorial,
     multiplicities,
     power_sum_value,
     z_factor,
 )
-from .symfunc import _free_mul, _sort_key, phi_hat
+from .symfunc import SparseTerms, _free_mul, _sort_key, phi_hat
 
 FAMILIES = ("R", "C", "Q")
 
@@ -51,7 +49,7 @@ class KerovComputationError(RuntimeError):
     """K_r failed its certificate against the character oracle."""
 
 
-class CumulantPolynomial:
+class CumulantPolynomial(SparseTerms):
     """Polynomial in one generator family, as sparse map monomial -> rational.
 
     A monomial is the partition of its generator indices; all parts are >= 2
@@ -59,48 +57,17 @@ class CumulantPolynomial:
     indexes the constant term.
     """
 
-    __slots__ = ("family", "terms")
+    __slots__ = ()
+    TAGS, TAG_NAME, MIN_PART = FAMILIES, "family", 2
 
-    def __init__(self, family: str, terms=None):
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        self.family = family
-        clean: dict[Partition, Fraction] = {}
-        for mu, c in (terms or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            mu = check_partition(mu)
-            if mu and mu[-1] < 2:
-                raise ValueError(f"monomial {mu} has a part < 2")
-            clean[mu] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, family: str = "R") -> "CumulantPolynomial":
-        return cls(family, {})
-
-    @classmethod
-    def gen(cls, family: str, i: int) -> "CumulantPolynomial":
-        """The single generator of index i; i = 0 gives the constant 1."""
-        if i == 1:
-            return cls(family, {})  # degree-one generators vanish
-        return cls(family, {() if i == 0 else (i,): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def family(self) -> str:
+        return self.tag
 
     def __add__(self, other: "CumulantPolynomial") -> "CumulantPolynomial":
         if other.family != self.family:
             raise ValueError("cannot add polynomials from different families")
         return CumulantPolynomial(self.family, _free_mul({(): 1}, other.terms, dict(self.terms)))
-
-    def __sub__(self, other: "CumulantPolynomial") -> "CumulantPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "CumulantPolynomial":
-        c = Fraction(c)
-        return CumulantPolynomial(self.family, {mu: c * v for mu, v in self.terms.items()})
 
     def __mul__(self, other: "CumulantPolynomial") -> "CumulantPolynomial":
         if other.family != self.family:
@@ -133,30 +100,8 @@ class CumulantPolynomial:
             total += v
         return total
 
-    def sorted_terms(self) -> list[tuple[Partition, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mu, c in self.sorted_terms():
-            mono = "*".join(f"{self.family}{i}" for i in mu) or "1"
-            bits.append(f"{format_rational(c)}*{mono}")
-        return " + ".join(bits)
-
-    def terms_json(self) -> list[dict]:
-        return [
-            {"partition": list(mu), "coef": format_rational(c)}
-            for mu, c in self.sorted_terms()
-        ]
-
-    @classmethod
-    def from_terms_json(cls, family: str, terms: list[dict]) -> "CumulantPolynomial":
-        return cls(family, {tuple(t["partition"]): Fraction(t["coef"]) for t in terms})
-
-    def __repr__(self):
-        return f"CumulantPolynomial[{self.family}]({self.to_text()})"
+    def _monomial_text(self, mu: Partition) -> str:
+        return "*".join(f"{self.family}{i}" for i in mu) or "1"
 
 
 @dataclass(frozen=True)

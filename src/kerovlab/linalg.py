@@ -58,13 +58,6 @@ def word_primes(count: int) -> list[int]:
     return _primes[:count]
 
 
-def clear_denominators(row) -> list[int]:
-    """Scale a rational row to integers (multiply by the lcm of denominators)."""
-    fracs = [Fraction(x) for x in row]
-    scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * scale) for f in fracs]
-
-
 class ModularEchelon:
     """Row echelon basis mod p, grown one row at a time.
 
@@ -234,11 +227,9 @@ def _verify(rows, rhs, x) -> bool:
 def solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
     """Solve a nonsingular square integer system exactly, at any size.
 
-    The modular path (solve_crt) is faster than fraction-free elimination on
-    every interpolation system here, and it returns a solution only after
-    checking it against every input equation in integer arithmetic.  A
-    singular system, or one whose solution the primes cannot pin down,
-    raises ValueError.
+    The modular path (solve_crt) returns a solution only after checking it
+    against every input equation in integer arithmetic.  A singular system,
+    or one whose solution the primes cannot pin down, raises ValueError.
     """
     return solve_crt(rows, rhs)
 

@@ -47,14 +47,6 @@ def format_partition(lam: Partition) -> str:
     return ",".join(str(p) for p in lam)
 
 
-def weight(lam: Partition) -> int:
-    return sum(lam)
-
-
-def length(lam: Partition) -> int:
-    return len(lam)
-
-
 def multiplicities(lam: Partition) -> dict[int, int]:
     """Map part value -> multiplicity."""
     m: dict[int, int] = {}

@@ -1,9 +1,11 @@
 """Exact symmetric functions in the m / p / e / h bases.
 
 A SymFunc is a sparse map from index partitions to rational coefficients,
-tagged with the basis it is written in.  Power sums are the reference basis:
-multiplication and equality go through p, where the algebra is free and a
-product of basis elements is concatenation of the index partitions.
+tagged with the basis it is written in; SparseTerms, the term map it shares
+with the cumulant polynomials, owns cleaning, text and JSON.  Power sums are
+the reference basis: multiplication and equality go through p, where the
+algebra is free and a product of basis elements is concatenation of the
+index partitions.
 Evaluation at an integer vector is direct integer substitution in the
 function's own basis, with no basis change.  Inhomogeneous values are first
 class; the empty partition indexes the constant term.
@@ -20,6 +22,7 @@ from .partitions import (
     check_partition,
     enumerate_partitions,
     epsilon,
+    format_partition,
     format_rational,
     mult_factorial,
     z_factor,
@@ -201,7 +204,7 @@ def _generator_values(basis: str, v: Partition, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# SymFunc
+# sparse term maps and SymFunc
 # ---------------------------------------------------------------------------
 
 
@@ -210,38 +213,92 @@ def _sort_key(lam: Partition):
     return (-sum(lam), tuple(-p for p in lam))
 
 
-class SymFunc:
-    """A symmetric function: basis tag plus sparse partition -> rational map."""
+class SparseTerms:
+    """A sparse map from partitions to nonzero rationals, tagged with one of
+    the subclass's TAGS: the basis or generator family the partitions index.
 
-    __slots__ = ("basis", "terms")
+    The empty partition indexes the constant term.  Parts below MIN_PART are
+    rejected, and a generator of such an index is zero.  A subclass names its
+    monomials in `_monomial_text` and defines its own ring operations.
+    """
 
-    def __init__(self, basis: str, terms=None):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
+    __slots__ = ("tag", "terms")
+    TAGS: tuple[str, ...]
+    TAG_NAME: str
+    MIN_PART = 1
+
+    def __init__(self, tag: str, terms=None):
+        if tag not in self.TAGS:
+            raise ValueError(f"unknown {self.TAG_NAME} {tag!r}")
+        self.tag = tag
         clean: dict[Partition, Fraction] = {}
         for lam, c in (terms or {}).items():
             c = Fraction(c)
             if c:
-                clean[check_partition(lam)] = c
+                lam = check_partition(lam)
+                if lam and lam[-1] < self.MIN_PART:
+                    raise ValueError(f"monomial {lam} has a part < {self.MIN_PART}")
+                clean[lam] = c
         self.terms = clean
 
-    # -- constructors -------------------------------------------------------
+    @classmethod
+    def zero(cls, tag: str):
+        return cls(tag, {})
 
     @classmethod
-    def gen(cls, basis: str, n: int) -> "SymFunc":
-        """The degree-n generator (m_(n), p_n, e_n or h_n); n = 0 gives 1."""
+    def gen(cls, tag: str, n: int):
+        """The generator of index n; n = 0 gives the constant 1."""
         if n < 0:
-            raise ValueError("generator degree must be nonnegative")
-        return cls(basis, {() if n == 0 else (n,): 1})
+            raise ValueError("generator index must be nonnegative")
+        return cls(tag, {} if 0 < n < cls.MIN_PART else {() if n == 0 else (n,): 1})
+
+    def scale(self, c):
+        c = Fraction(c)
+        return type(self)(self.tag, {lam: c * v for lam, v in self.terms.items()})
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def sorted_terms(self) -> list[tuple[Partition, Fraction]]:
+        return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
+
+    def terms_json(self) -> list[dict]:
+        return [
+            {"partition": list(lam), "coef": format_rational(c)}
+            for lam, c in self.sorted_terms()
+        ]
+
+    @classmethod
+    def from_terms_json(cls, tag: str, terms: list[dict]):
+        return cls(tag, {tuple(t["partition"]): Fraction(t["coef"]) for t in terms})
+
+    def to_text(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(
+            f"{format_rational(c)}*{self._monomial_text(lam)}" for lam, c in self.sorted_terms()
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}[{self.tag}]({self.to_text()})"
+
+
+class SymFunc(SparseTerms):
+    """A symmetric function: basis tag plus sparse partition -> rational map."""
+
+    __slots__ = ()
+    TAGS, TAG_NAME = BASES, "basis"
+
+    @property
+    def basis(self) -> str:
+        return self.tag
 
     @classmethod
     def constant(cls, c, basis: str = "p") -> "SymFunc":
         return cls(basis, {(): c})
-
-    @classmethod
-    def zero(cls, basis: str = "p") -> "SymFunc":
-        return cls(basis, {})
 
     # -- ring structure ------------------------------------------------------
 
@@ -249,16 +306,6 @@ class SymFunc:
         if other.basis != self.basis:
             other = other.convert(self.basis)
         return SymFunc(self.basis, _free_mul({(): 1}, other.terms, dict(self.terms)))
-
-    def __neg__(self) -> "SymFunc":
-        return SymFunc(self.basis, {lam: -c for lam, c in self.terms.items()})
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + (-other)
-
-    def scale(self, c) -> "SymFunc":
-        c = Fraction(c)
-        return SymFunc(self.basis, {lam: c * v for lam, v in self.terms.items()})
 
     def __mul__(self, other: "SymFunc") -> "SymFunc":
         """Product, computed in p where multiplication is concatenation."""
@@ -273,9 +320,6 @@ class SymFunc:
 
     def __hash__(self):
         return hash((("p"), tuple(sorted(self.convert("p").terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- basis conversion ----------------------------------------------------
 
@@ -332,33 +376,15 @@ class SymFunc:
 
     # -- serialization -------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Partition, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for lam, c in self.sorted_terms():
-            bits.append(f"{format_rational(c)}*{self.basis}[{','.join(str(p) for p in lam)}]")
-        return " + ".join(bits)
+    def _monomial_text(self, lam: Partition) -> str:
+        return f"{self.basis}[{format_partition(lam)}]"
 
     def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"partition": list(lam), "coef": format_rational(c)}
-                for lam, c in self.sorted_terms()
-            ],
-        }
+        return {"basis": self.basis, "terms": self.terms_json()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SymFunc":
-        terms = {tuple(t["partition"]): Fraction(t["coef"]) for t in data["terms"]}
-        return cls(data["basis"], terms)
-
-    def __repr__(self):
-        return f"SymFunc({self.to_text()})"
+        return cls.from_terms_json(data["basis"], data["terms"])
 
 
 # ---------------------------------------------------------------------------

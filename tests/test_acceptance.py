@@ -21,7 +21,7 @@ from kerovlab.conjectures import (
     lemma_triple_e_in_p_weighted,
     load_table,
     positivity_report,
-    predicted_component_F,
+    predicted_component,
     verify_table,
 )
 from kerovlab.cumulants import free_cumulants
@@ -86,7 +86,7 @@ def test_criterion_3_g2_extraction(provider):
 def test_criterion_4_F2_forward_and_negatives(provider):
     F2 = load_table("F2").to_symfunc()
     for r in range(5, 13):
-        predicted = change_generators(predicted_component_F(2, r, F2), "R")
+        predicted = change_generators(predicted_component("F", 2, r, F2), "R")
         assert predicted == graded_component(provider.get(r), r - 3), r
     rep = positivity_report(F2)
     assert {mu: c * 2880 for mu, c in rep.negative} == {(2, 1, 1): -4, (1, 1, 1): -24}

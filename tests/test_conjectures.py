@@ -6,6 +6,7 @@ import pytest
 import kerovlab.conjectures as conj
 from kerovlab.conjectures import (
     ChecksumError,
+    SUITES,
     extract_symfunc,
     lemma_triple_e_in_h,
     lemma_triple_e_in_h_weighted,
@@ -13,12 +14,9 @@ from kerovlab.conjectures import (
     lemma_triple_e_in_p_weighted,
     load_table,
     positivity_report,
-    predicted_component_F,
-    predicted_component_f,
-    predicted_component_g,
+    predicted_component,
     run_suite,
     selftest,
-    suite_r_values,
     verify_table,
 )
 from kerovlab.kerov import CumulantPolynomial, KerovProvider, change_generators
@@ -133,28 +131,28 @@ def test_predicted_f_examples(provider):
     f2 = load_table("f2").to_symfunc()
     assert f2.evaluate((2,)) == Fraction(384, 5760) == Fraction(1, 15)
     assert f2.evaluate((3,)) == Fraction(1152, 5760) == Fraction(1, 5)
-    assert predicted_component_f(2, 5, f2).terms == {(2,): 8}
-    assert predicted_component_f(2, 6, f2).terms == {(3,): 84}
+    assert predicted_component("f", 2, 5, f2).terms == {(2,): 8}
+    assert predicted_component("f", 2, 6, f2).terms == {(3,): 84}
     quarter = SymFunc.constant(Fraction(1, 4))
-    assert predicted_component_f(1, 5, quarter).terms == {(4,): 15, (2, 2): 5}
+    assert predicted_component("f", 1, 5, quarter).terms == {(4,): 15, (2, 2): 5}
 
 
 def test_predicted_g_examples():
     g2 = load_table("g2").to_symfunc()
     assert g2.evaluate((2,)) == Fraction(1152, 8640) == Fraction(2, 15)
     assert g2.evaluate((3,)) == Fraction(2, 5)
-    assert predicted_component_g(2, 5, g2).terms == {(2,): 8}
-    assert predicted_component_g(2, 6, g2).terms == {(3,): 42}
+    assert predicted_component("g", 2, 5, g2).terms == {(2,): 8}
+    assert predicted_component("g", 2, 6, g2).terms == {(3,): 42}
     quarter = SymFunc.constant(Fraction(1, 4))
-    assert predicted_component_g(1, 5, quarter).terms == {(4,): 5, (2, 2): Fraction(5, 2)}
+    assert predicted_component("g", 1, 5, quarter).terms == {(4,): 5, (2, 2): Fraction(5, 2)}
 
 
 def test_predicted_F_examples():
     quarter = SymFunc.constant(Fraction(1, 4))
-    assert predicted_component_F(1, 5, quarter).terms == {(4,): 5}
+    assert predicted_component("F", 1, 5, quarter).terms == {(4,): 5}
     F2 = load_table("F2").to_symfunc()
-    assert change_generators(predicted_component_F(2, 5, F2), "R").terms == {(2,): 8}
-    assert change_generators(predicted_component_F(2, 6, F2), "R").terms == {(3,): 84}
+    assert change_generators(predicted_component("F", 2, 5, F2), "R").terms == {(2,): 8}
+    assert change_generators(predicted_component("F", 2, 6, F2), "R").terms == {(3,): 84}
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +266,32 @@ def test_suites_run_green(provider):
 
 
 def test_suite_r_values():
-    assert suite_r_values("conj3") == list(range(7, 14))
-    assert suite_r_values("conj4", 10) == [9, 10]
-    assert suite_r_values("lemmas") == []
-    assert max(suite_r_values("closed-forms", 8)) == 12
+    assert SUITES["conj3"].r_values() == list(range(7, 14))
+    assert SUITES["conj4"].r_values(10) == [9, 10]
+    assert SUITES["lemmas"].r_values() == []
+    assert max(SUITES["closed-forms"].r_values(8)) == 12
+
+
+class _RecordingProvider(KerovProvider):
+    """Records every K_r a suite asks for; shares the session provider's
+    memory, so each K_r is still computed once."""
+
+    def __init__(self, mem):
+        super().__init__()
+        self._mem = mem
+        self.requested = set()
+
+    def get(self, r):
+        self.requested.add(r)
+        return super().get(r)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_requests_exactly_its_declared_r_values(provider, name):
+    for r_max in (None, 5, 9, 12):
+        recorder = _RecordingProvider(provider._mem)
+        run_suite(name, recorder, r_max)
+        assert recorder.requested == set(SUITES[name].r_values(r_max)), r_max
 
 
 def test_selftest_bundle(provider):

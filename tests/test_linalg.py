@@ -13,7 +13,6 @@ from kerovlab.linalg import (
     ModularEchelon,
     _is_prime,
     _rational_reconstruct,
-    clear_denominators,
     solve_bareiss,
     solve_crt,
     solve_exact,
@@ -93,10 +92,6 @@ def test_rational_reconstruct():
         assert _rational_reconstruct(residue, m) == Fraction(num, den)
 
 
-def test_clear_denominators():
-    row = [Fraction(1, 2), Fraction(2, 3), 4]
-    assert clear_denominators(row) == [3, 4, 24]
-    assert clear_denominators([]) == []
 
 
 def test_modular_echelon_rank_matches_exact_rank():
