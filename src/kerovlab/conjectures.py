@@ -593,10 +593,10 @@ class Suite:
         """Kerov polynomial orders the suite requests; used to precompute in parallel."""
         if not self.kerov:
             return []
-        hi = self.top_for(r_max)
+        rs = set(range(self.first, self.top_for(r_max) + 1))
         if self.fixed:
-            hi = max(hi, self.fixed[1])
-        return list(range(self.first, hi + 1))
+            rs.update(range(self.fixed[0], self.fixed[1] + 1))
+        return sorted(rs)
 
 
 SUITES = {

@@ -515,7 +515,7 @@ class KerovProvider:
 
     def precompute(self, rs, jobs: int = 1) -> None:
         todo = sorted(set(rs) - set(self._mem))
-        todo = [r for r in todo if self._load_disk(r, keep=True) is None]
+        todo = [r for r in todo if self._load_disk(r) is None]
         if not todo:
             return
         if jobs > 1 and len(todo) > 1:
@@ -538,7 +538,7 @@ class KerovProvider:
             return None
         return os.path.join(self.cache_dir, f"kerov_r{r}.json")
 
-    def _load_disk(self, r: int, keep: bool = True) -> KerovPolynomial | None:
+    def _load_disk(self, r: int) -> KerovPolynomial | None:
         path = self._cache_path(r)
         if path is None or not os.path.exists(path):
             return None
@@ -550,8 +550,7 @@ class KerovProvider:
             kp = KerovPolynomial(r, CumulantPolynomial.from_terms_json("R", data["terms"]))
         except (ValueError, KeyError, OSError):
             return None  # partial or corrupt file: regenerate
-        if keep:
-            self._mem[r] = kp
+        self._mem[r] = kp
         return kp
 
     def _store_disk(self, kp: KerovPolynomial) -> None:

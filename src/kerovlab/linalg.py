@@ -3,8 +3,9 @@
 * ModularEchelon -- incremental column rank mod p in pure Python; rank mod p
   never exceeds the rational rank, so full rank mod p certifies full rank.
 * solve_exact / solve_crt -- multi-prime solving with Chinese remaindering,
-  accepted only after an exact integer check of every equation; numpy loads
-  inside _solve_mod_p only.  solve_bareiss is a fraction-free reference.
+  each prime's solve run on a ModularEchelon of the augmented rows, and
+  accepted only after an exact integer check of every equation.
+  solve_bareiss is a fraction-free reference.
 * FractionEchelon -- labelled echelon over Q for extraction; inconsistent
   rows are recorded, not raised.
 
@@ -43,13 +44,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# primes just under 2^31: products of two residues stay inside int64
-_primes: list[int] = [2147483647]
 ECHELON_PRIME = 33_554_393  # the largest prime below 2^25
+_primes: list[int] = [ECHELON_PRIME]
 
 
 def word_primes(count: int) -> list[int]:
-    """The first `count` primes below 2^31, largest first, extended on demand."""
+    """The first `count` primes below 2^25, largest first, extended on demand."""
     n = _primes[-1]
     while len(_primes) < count:
         n -= 2
@@ -129,28 +129,23 @@ def solve_bareiss(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
 
 
 def _solve_mod_p(rows, rhs, p) -> list[int] | None:
-    import numpy as np  # loaded only when a modular solve runs
+    """Solve the square system mod p on a ModularEchelon of its augmented rows.
 
+    None when it is singular mod p: a row adds no pivot, or the rhs column
+    does.  Otherwise basis row k reads x[pivot k] + sum over later pivots j
+    of _pivots[j][k] * x[pivot j] = b[k], solved from the last pivot back.
+    """
     n = len(rows)
-    a = np.zeros((n, n + 1), dtype=np.int64)
-    for i, (r, b) in enumerate(zip(rows, rhs)):
-        a[i, :n] = [x % p for x in r]
-        a[i, n] = b % p
-    for k in range(n):
-        piv = k + int(np.argmax(a[k:, k] != 0))
-        if a[piv, k] == 0:
-            return None  # singular mod p; caller picks another prime
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-        inv = pow(int(a[k, k]), p - 2, p)
-        a[k] = (a[k] * inv) % p
-        col = a[k + 1 :, k].copy()
-        if col.any():
-            a[k + 1 :] = (a[k + 1 :] - col[:, None] * a[k][None, :]) % p
+    ech = ModularEchelon(n + 1, p)
+    for r, b in zip(rows, rhs):
+        if not ech.add_row([*r, b]):
+            return None
+    if n not in ech._free:
+        return None
+    b, cols, piv = ech._free[n], ech.pivot_cols, ech._pivots
     x = [0] * n
-    for i in range(n - 1, -1, -1):
-        s = int(a[i, n]) - sum(int(a[i, j]) * x[j] for j in range(i + 1, n))
-        x[i] = s % p
+    for k in range(n - 1, -1, -1):
+        x[cols[k]] = (b[k] - sum(piv[j][k] * x[cols[j]] for j in range(k + 1, n))) % p
     return x
 
 
@@ -168,17 +163,16 @@ def _rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(r1, t1) if t1 > 0 else Fraction(-r1, -t1)
 
 
-def solve_crt(rows: list[list[int]], rhs: list[int], max_primes: int = 64) -> list[Fraction]:
+def solve_crt(rows: list[list[int]], rhs: list[int], max_primes: int = 80) -> list[Fraction]:
     """Solve a nonsingular square integer system via several primes + CRT.
 
-    Primes are added until the per-entry rational reconstruction stabilizes
-    into a vector that satisfies every equation exactly; a Hadamard-type cap
-    on the prime count turns persistent failure (a singular system) into an
-    error.
+    Each prime's solution is folded into the running residue, which is
+    reconstructed entry by entry and accepted only if it satisfies every
+    equation exactly.  The cap of `max_primes` primes below 2^25 (a modulus
+    of about 2,000 bits), or more than 8 primes singular mod p, turns
+    persistent failure (a singular system) into an error.
     """
-    n = len(rows)
-    residues: list[list[int]] = []
-    used: list[int] = []
+    modulus, combined = 1, [0] * len(rows)
     singular_hits = 0
     for p in word_primes(max_primes):
         sol = _solve_mod_p(rows, rhs, p)
@@ -187,25 +181,11 @@ def solve_crt(rows: list[list[int]], rhs: list[int], max_primes: int = 64) -> li
             if singular_hits > 8:
                 raise ValueError("matrix is singular")
             continue
-        residues.append(sol)
-        used.append(p)
-        if len(used) < 2:
-            continue
-        modulus = 1
-        combined = [0] * n
-        for p_i, res in zip(used, residues):
-            if modulus == 1:
-                modulus, combined = p_i, list(res)
-                continue
-            inv = pow(modulus % p_i, p_i - 2, p_i)
-            for j in range(n):
-                diff = (res[j] - combined[j]) % p_i
-                combined[j] = combined[j] + modulus * ((diff * inv) % p_i)
-            modulus *= p_i
+        inv = pow(modulus, p - 2, p)
+        combined = [c + modulus * ((s - c) * inv % p) for c, s in zip(combined, sol)]
+        modulus *= p
         x = [_rational_reconstruct(c, modulus) for c in combined]
-        if any(v is None for v in x):
-            continue
-        if _verify(rows, rhs, x):
+        if all(v is not None for v in x) and _verify(rows, rhs, x):
             return x  # type: ignore[return-value]
     raise ValueError("modular solve failed; system singular or result too large")
 

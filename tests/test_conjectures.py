@@ -288,7 +288,7 @@ class _RecordingProvider(KerovProvider):
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_requests_exactly_its_declared_r_values(provider, name):
-    for r_max in (None, 5, 9, 12):
+    for r_max in (None, 2, 3, 5, 9, 12):
         recorder = _RecordingProvider(provider._mem)
         run_suite(name, recorder, r_max)
         assert recorder.requested == set(SUITES[name].r_values(r_max)), r_max

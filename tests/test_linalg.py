@@ -13,9 +13,11 @@ from kerovlab.linalg import (
     ModularEchelon,
     _is_prime,
     _rational_reconstruct,
+    _solve_mod_p,
     solve_bareiss,
     solve_crt,
     solve_exact,
+    word_primes,
 )
 
 
@@ -75,6 +77,21 @@ def test_solvers_with_huge_entries():
     want = fraction_ge_solve(rows, rhs)
     assert solve_bareiss(rows, rhs) == want
     assert solve_crt(rows, rhs) == want
+
+
+def test_singular_mod_p_retries_on_the_next_prime():
+    # det = ECHELON_PRIME: singular mod the first prime, nonsingular over Q
+    rows, rhs = [[1, 2, 0], [3, 6 + ECHELON_PRIME, 0], [0, 5, 1]], [1, 1, -4]
+    assert _solve_mod_p(rows, rhs, ECHELON_PRIME) is None
+    assert word_primes(1) == [ECHELON_PRIME]
+    assert solve_crt(rows, rhs) == fraction_ge_solve(rows, rhs)
+
+
+def test_solve_mod_p_inconsistent_or_dependent_rows_give_none():
+    p = ECHELON_PRIME
+    assert _solve_mod_p([[1, 1], [2, 2]], [1, 3], p) is None  # rhs column pivots
+    assert _solve_mod_p([[1, 1], [2, 2]], [1, 2 + p], p) is None  # row adds no pivot
+    assert _solve_mod_p([[1, 1], [1, -1]], [3, 1], p) == [2, 1]
 
 
 def test_singular_matrix_raises():
@@ -174,9 +191,9 @@ def test_fraction_echelon_rank_deficient_without_conflict():
     assert ech.solution() is None
 
 
-def test_cli_import_defers_numpy_to_the_modular_solve():
-    # a warm-cache verify never echelons or solves, so importing the CLI must
-    # not load numpy; the modular echelon and solve load it when first used
+def test_echelon_and_solve_never_import_numpy():
+    # the package is pure Python: neither the CLI import nor an echelon and
+    # a modular solve loads numpy
     script = (
         "import kerovlab.cli, sys; print('numpy' in sys.modules)\n"
         "from fractions import Fraction\n"
@@ -193,4 +210,4 @@ def test_cli_import_defers_numpy_to_the_modular_solve():
         [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False"]
