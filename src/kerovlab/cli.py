@@ -195,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args) -> None:
     if getattr(args, "r", None) is not None and args.r < 2:
         raise ValueError("--r must be >= 2")
+    if getattr(args, "component", None) is not None and args.component < 0:
+        raise ValueError("--component must be >= 0")
     if getattr(args, "k", None) is not None and args.k < 1:
         raise ValueError("--k must be >= 1")
     if getattr(args, "max_k", None) is not None and args.max_k < 2:

@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .kerov import (
     CumulantPolynomial,
@@ -29,7 +29,6 @@ from .kerov import (
     kerov_findings,
     krr1_closed_form,
     krr3_closed_form,
-    script_r_factor,
     triple_sum_bruteforce,
     weighted_triple_sum,
 )
@@ -45,6 +44,7 @@ from .partitions import (
     mult_factorial,
     parse_partition,
     power_sum_value,
+    series_coefficients,
     z_factor,
 )
 from .symfunc import SymFunc, monomial_value
@@ -135,25 +135,22 @@ def load_table(kind: str) -> PaperTable:
 # ---------------------------------------------------------------------------
 
 
-def _arrangements(mu: Partition, slots: int) -> int:
-    """Ways to place the parts of mu into `slots` ordered slots, rest zero."""
-    if len(mu) > slots:
-        return 0
-    return factorial(slots) // (mult_factorial(mu) * factorial(slots - len(mu)))
-
-
-def _structural_factor(target: str, k: int, r: int, mu: Partition) -> Fraction:
-    pref = comb(r + 1, 3)
-    if target == "f":
-        return pref * factorial(len(mu) + 2 * k - 2) * script_r_factor(mu)
-    if target == "g":
-        return Fraction(pref * (2 * k - 1) ** len(mu), mult_factorial(mu))
-    if target == "F":
-        return Fraction(pref * _arrangements(mu, 2 * k - 1))
-    raise ValueError(f"unknown target {target!r}")
-
-
 _TARGET_FAMILY = {"f": "R", "g": "Q", "F": "C"}
+
+
+def _structural_factors(target: str, k: int, r: int) -> dict[Partition, Fraction]:
+    """mu -> the factor of func(mu) in predicted_component: C(r+1,3) times
+    phi(l(mu)) prod_j w(mu_j) / prod_i m_i(mu)! over |mu| = r-2k+1, parts >= 2."""
+    if target == "f":
+        phi, weight = (lambda l: factorial(l + 2 * k - 2)), (lambda i: i - 1)
+    elif target == "g":
+        phi, weight = (lambda l: (2 * k - 1) ** l), (lambda i: 1)
+    elif target == "F":
+        phi, weight = (lambda l: perm(2 * k - 1, l)), (lambda i: 1)
+    else:
+        raise ValueError(f"unknown target {target!r}")
+    pref = comb(r + 1, 3)
+    return {mu: pref * c for mu, c in series_coefficients(r - 2 * k + 1, 2, phi, weight).items()}
 
 
 def predicted_component(target: str, k: int, r: int, func: SymFunc) -> CumulantPolynomial:
@@ -165,12 +162,7 @@ def predicted_component(target: str, k: int, r: int, func: SymFunc) -> CumulantP
       F: F_k(nu) C_nu over vectors nu in N^(2k-1) that rearrange mu; zero
          entries contribute C_0 = 1, and an entry 1 would give C_1 = 0.
     """
-    if target not in _TARGET_FAMILY:
-        raise ValueError(f"unknown target {target!r}")
-    terms = {
-        mu: _structural_factor(target, k, r, mu) * func.evaluate(mu)
-        for mu in enumerate_partitions(r - 2 * k + 1, 2)
-    }
+    terms = {mu: fac * func.evaluate(mu) for mu, fac in _structural_factors(target, k, r).items()}
     return CumulantPolynomial(_TARGET_FAMILY[target], terms)
 
 
@@ -229,9 +221,8 @@ def extract_symfunc(
         if s < 0:
             continue
         comp = provider.component(r, s, family)
-        for mu in enumerate_partitions(s, 2):
+        for mu, fac in _structural_factors(target, k, r).items():
             coef = comp.terms.get(mu, Fraction(0))
-            fac = _structural_factor(target, k, r, mu)
             if fac == 0:
                 if coef:
                     residual.append((r, mu))  # no monomial can produce this term

@@ -10,8 +10,9 @@ and ten held-out ones are checked on top.
 Generator-family conversion is a series substitution in the quotient ring
 where the degree-one generators vanish: with X = sum (i-1) R_i z^i, the
 identities 1/(1-X) = C(z), -log(1-X) = Q(z) and exp(Q(z)) = C(z) give each
-generator of one family as a polynomial in another over indices with parts
->= 2, and each monomial's expansion is memoized as a suffix product.
+generator of one family as a partition sum over the generators of another,
+with parts >= 2 (`partitions.series_coefficients`), and each monomial's
+expansion is memoized as a suffix product.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     mult_factorial,
-    multiplicities,
     power_sum_value,
+    series_coefficients,
     z_factor,
 )
 from .symfunc import SparseTerms, _free_mul, _sort_key, phi_hat
@@ -316,39 +317,19 @@ def graded_component(kp: KerovPolynomial, s: int) -> CumulantPolynomial:
 
 # Each family as a generating series: C(z) = 1 + sum C_i z^i, Q(z) = sum Q_i z^i
 # and H(z) = 1 - X(z) = 1 - sum (i-1) R_i z^i standing for R.  Between them
-# H = 1/C, C = exp(Q) and Q = -log H.  _series[(src, dst)] lists the
-# coefficients of the source series as polynomials in the target generators;
-# entry n is homogeneous of weight n, and entry 1 is zero.
-_series: dict[tuple[str, str], list[dict[Partition, Fraction]]] = {}
+# H = 1/C, C = exp(Q) and Q = -log H, so the source series is F(target series)
+# and its z^i coefficient is a partition sum with phi(l) = l! [x^l] F:
+# _PHI[(src, dst)] is that phi, with the weight i - 1 of X when dst is R.
+_PHI = {
+    ("C", "R"): factorial,
+    ("Q", "R"): lambda l: factorial(l - 1),
+    ("R", "C"): lambda l: (-1) ** l * factorial(l),
+    ("R", "Q"): lambda l: (-1) ** l,
+    ("C", "Q"): lambda l: 1,
+    ("Q", "C"): lambda l: (-1) ** (l - 1) * factorial(l - 1),
+}
 # (src, dst, mu) -> the source monomial mu expanded in the target generators
 _monomials: dict[tuple[str, str, Partition], dict[Partition, Fraction]] = {}
-
-
-def _source_series(src: str, dst: str, n: int) -> list[dict[Partition, Fraction]]:
-    """Coefficients 0..n of the source series in the target generators.
-
-    The source series is the inverse of the target series (C <-> H), its log
-    (Q from C, or from H with sign -1) or the exp of +-Q (C or H from Q),
-    extended one weight at a time by the truncated recurrence.
-    """
-    out = _series.setdefault((src, dst), [{} if src == "Q" else {(): Fraction(1)}, {}])
-    sign = -1 if "R" in (src, dst) else 1
-
-    def a(k, c):  # c times the z^k coefficient of the target series
-        return {(k,): Fraction(c * (1 - k) if dst == "R" else c)}
-
-    for m in range(len(out), n + 1):
-        if src == "Q":  # s = sign log a: s_m = sign a_m - (1/m) sum k s_k a_{m-k}
-            s = a(m, sign)
-            for k in range(2, m - 1):
-                _free_mul(a(m - k, Fraction(-k, m)), out[k], s)
-        else:  # exp(sign Q): s_m = (sign/m) sum k Q_k s_{m-k}; 1/a: s_m = -sum a_k s_{m-k}
-            s = {}
-            for k in range(2, m + 1):
-                c = Fraction(sign * k, m) if dst == "Q" else -1
-                _free_mul(a(k, c), out[m - k], s)
-        out.append(s)
-    return out
 
 
 def _monomial(src: str, dst: str, mu: Partition) -> dict[Partition, Fraction]:
@@ -358,7 +339,8 @@ def _monomial(src: str, dst: str, mu: Partition) -> dict[Partition, Fraction]:
     if got is None:
         if mu:
             i = mu[0]
-            gen = _source_series(src, dst, i)[i]
+            weight = (lambda j: j - 1) if dst == "R" else (lambda j: 1)
+            gen = series_coefficients(i, 2, _PHI[(src, dst)], weight)
             if src == "R":  # (i-1) R_i = -H_i
                 gen = {nu: c / (1 - i) for nu, c in gen.items()}
             got = _free_mul(gen, _monomial(src, dst, mu[1:]))
@@ -372,9 +354,10 @@ def change_generators(poly: CumulantPolynomial, target: str) -> CumulantPolynomi
     """Re-express a polynomial in another generator family, exactly.
 
     The conversion is a series substitution in the quotient ring where the
-    degree-one generators vanish: each source monomial is expanded through
-    1/(1-X) = C, -log(1-X) = Q and exp(Q) = C with X = sum (i-1) R_i z^i,
-    and the expansions are memoized per monomial.
+    degree-one generators vanish: through 1/(1-X) = C, -log(1-X) = Q and
+    exp(Q) = C with X = sum (i-1) R_i z^i, each source generator is one
+    partition sum over the target generators, and the expansion of each
+    source monomial is memoized.
     """
     if target not in FAMILIES:
         raise ValueError(f"unknown family {target!r}")
@@ -391,24 +374,13 @@ def change_generators(poly: CumulantPolynomial, target: str) -> CumulantPolynomi
 # ---------------------------------------------------------------------------
 
 
-def script_r_factor(mu: Partition) -> Fraction:
-    """prod (i-1)^{m_i} / m_i!: the ratio between script-R_mu and the plain monomial."""
-    val = Fraction(1, mult_factorial(mu))
-    for i, m in multiplicities(mu).items():
-        val *= (i - 1) ** m
-    return val
-
-
 def krr1_closed_form(r: int) -> CumulantPolynomial:
     """Weight r-1 component: (1/4) C(r+1,3) sum l(mu)! script-R_mu over |mu| = r-1."""
     if r < 2:
         raise ValueError("r must be >= 2")
     pref = Fraction(comb(r + 1, 3), 4)
-    terms = {
-        mu: pref * factorial(len(mu)) * script_r_factor(mu)
-        for mu in enumerate_partitions(r - 1, 2)
-    }
-    return CumulantPolynomial("R", terms)
+    terms = series_coefficients(r - 1, 2, factorial, lambda i: i - 1)
+    return CumulantPolynomial("R", {mu: pref * c for mu, c in terms.items()})
 
 
 def a_coeff(r: int) -> Fraction:
@@ -455,20 +427,15 @@ def weighted_triple_sum(a, b, c, n: int, family: str) -> CumulantPolynomial:
     if family not in ("R", "Q"):
         raise ValueError("family must be 'R' or 'Q'")
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    terms: dict[Partition, Fraction] = {}
     if family == "R":
-        kernel = phi_hat(a, b, c, n)
-        for mu in enumerate_partitions(n, 2):
-            coef = factorial(len(mu) + 2) * kernel.evaluate(mu) * script_r_factor(mu)
-            if coef:
-                terms[mu] = coef
+        kernel = phi_hat(a, b, c, n).evaluate
+        factors = series_coefficients(n, 2, lambda l: factorial(l + 2), lambda i: i - 1)
     else:
-        for mu in enumerate_partitions(n, 2):
-            weight = a + b * n / 3 + c * (n * n + 2 * power_sum_value(2, mu)) / 9
-            coef = 3 ** len(mu) * weight / mult_factorial(mu)
-            if coef:
-                terms[mu] = coef
-    return CumulantPolynomial(family, terms)
+        def kernel(mu):
+            return a + b * n / 3 + c * (n * n + 2 * power_sum_value(2, mu)) / 9
+
+        factors = series_coefficients(n, 2, lambda l: 3**l, lambda i: 1)
+    return CumulantPolynomial(family, {mu: fac * kernel(mu) for mu, fac in factors.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ partitions are dictionary keys throughout the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 Partition = tuple[int, ...]
 
@@ -113,6 +113,19 @@ def mult_factorial(mu: Partition) -> int:
     for m in multiplicities(mu).values():
         out *= factorial(m)
     return out
+
+
+def series_coefficients(n: int, min_part: int, phi, weight) -> dict[Partition, Fraction]:
+    """[z^n] F(sum_i weight(i) g_i z^i) in the g_i, with phi(l) = l! [x^l] F.
+
+    The coefficient of g_mu is phi(l(mu)) prod_j weight(mu_j) / prod_i m_i(mu)!
+    over the partitions mu of n with parts >= min_part, in their enumeration
+    order (Macdonald, Symmetric Functions and Hall Polynomials, I.2).
+    """
+    return {
+        mu: Fraction(phi(len(mu)) * prod(map(weight, mu)), mult_factorial(mu))
+        for mu in enumerate_partitions(n, min_part)
+    }
 
 
 def conjugate(lam: Partition) -> Partition:

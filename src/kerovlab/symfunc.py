@@ -5,7 +5,8 @@ tagged with the basis it is written in; SparseTerms, the term map it shares
 with the cumulant polynomials, owns cleaning, text and JSON.  Power sums are
 the reference basis: multiplication and equality go through p, where the
 algebra is free and a product of basis elements is concatenation of the
-index partitions.
+index partitions.  An e or h product reaches p through class sizes, and p_n
+goes back to e or h by Waring's formula, one partition sum per generator.
 Evaluation at an integer vector is direct integer substitution in the
 function's own basis, with no basis change.  Inhomogeneous values are first
 class; the empty partition indexes the constant term.
@@ -25,6 +26,7 @@ from .partitions import (
     format_partition,
     format_rational,
     mult_factorial,
+    series_coefficients,
     z_factor,
 )
 
@@ -35,8 +37,6 @@ BASES = ("m", "p", "e", "h")
 # ---------------------------------------------------------------------------
 
 _gen_in_p: dict[tuple[str, Partition], tuple[int, dict[Partition, int]]] = {}
-_p_in_e: dict[int, dict[Partition, Fraction]] = {}
-_p_in_h: dict[int, dict[Partition, Fraction]] = {}
 _p_in_m: dict[Partition, dict[Partition, int]] = {}
 _m_in_p: dict[Partition, dict[Partition, Fraction]] = {}
 
@@ -81,28 +81,16 @@ def gen_product_in_p(basis: str, lam: Partition) -> tuple[int, dict[Partition, i
     return got
 
 
-def p_in_e(n: int) -> dict[Partition, Fraction]:
-    """Newton: p_n = sum_{k=1}^{n-1} (-1)^{k-1} e_k p_{n-k} + (-1)^{n-1} n e_n."""
-    got = _p_in_e.get(n)
-    if got is not None:
-        return got
-    out: dict[Partition, Fraction] = {(n,): Fraction((-1) ** (n - 1) * n)}
-    for k in range(1, n):
-        _free_mul({(k,): (-1) ** (k - 1)}, p_in_e(n - k), out)
-    _p_in_e[n] = out
-    return out
+@cache
+def p_in_gen(basis: str, n: int) -> dict[Partition, Fraction]:
+    """p_n in the e or h basis by Waring's formula:
 
-
-def p_in_h(n: int) -> dict[Partition, Fraction]:
-    """Newton: p_n = n h_n - sum_{k=1}^{n-1} h_k p_{n-k}."""
-    got = _p_in_h.get(n)
-    if got is not None:
-        return got
-    out: dict[Partition, Fraction] = {(n,): Fraction(n)}
-    for k in range(1, n):
-        _free_mul({(k,): -1}, p_in_h(n - k), out)
-    _p_in_h[n] = out
-    return out
+    p_n = n [t^n] log(1 + sum_k h_k t^k) = (-1)^(n-1) n [t^n] log(1 + sum_k e_k t^k).
+    """
+    sign = (-1) ** (n - 1) if basis == "e" else 1
+    return series_coefficients(
+        n, 1, lambda l: sign * n * (-1) ** (l - 1) * factorial(l - 1), lambda i: 1
+    )
 
 
 def _m_times_pn(f: dict[Partition, int], n: int) -> dict[Partition, int]:
@@ -351,10 +339,9 @@ class SymFunc(SparseTerms):
             if target == "m":
                 expansion: dict = p_in_m(mu)
             else:
-                gen = p_in_e if target == "e" else p_in_h
                 expansion = {(): Fraction(1)}
                 for part in mu:
-                    expansion = _free_mul(expansion, gen(part))
+                    expansion = _free_mul(expansion, p_in_gen(target, part))
             _free_mul({(): c}, expansion, out)
         return out
 

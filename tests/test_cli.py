@@ -127,6 +127,13 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_negative_component_is_a_usage_error(capsys):
+    assert main(["kerov", "--r", "5", "--component", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--component must be >= 0" in err and "usage:" in err
+
+
 def test_selftest_checksum_failure_exits_2(capsys, monkeypatch):
     real = conj._read_table_file
 

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -12,6 +13,7 @@ from kerovlab.partitions import (
     mult_factorial,
     multiplicities,
     parse_partition,
+    series_coefficients,
     u_factor,
     z_factor,
 )
@@ -178,3 +180,51 @@ def test_enumerate_validation():
         enumerate_partitions(-1)
     with pytest.raises(ValueError):
         enumerate_partitions(4, 0)
+
+
+# Taylor coefficients a_l = [x^l] F of the outer functions F
+SERIES = {
+    "exp": lambda l: Fraction(1, factorial(l)),
+    "log(1+x)": lambda l: Fraction((-1) ** (l - 1), l) if l else Fraction(0),
+    "-log(1-x)": lambda l: Fraction(1, l) if l else Fraction(0),
+    "1/(1-x)": lambda l: Fraction(1),
+    "1/(1+x)": lambda l: Fraction((-1) ** l),
+}
+
+
+def _series_mul(f, g, top):
+    """Product of z-series truncated at z^top; entry d maps the sorted
+    generator indices of a monomial to its coefficient."""
+    out = [{} for _ in range(top + 1)]
+    for d, fd in enumerate(f):
+        for e, ge in enumerate(g[: top + 1 - d]):
+            for a, x in fd.items():
+                for b, y in ge.items():
+                    key = tuple(sorted(a + b, reverse=True))
+                    out[d + e][key] = out[d + e].get(key, 0) + x * y
+    return out
+
+
+def _composed_series(a, weight, min_part, top):
+    """F(sum_i weight(i) g_i z^i) to z^top, by summing a_l X^l directly."""
+    x = [{(i,): Fraction(weight(i))} if i >= min_part else {} for i in range(top + 1)]
+    power = [{(): Fraction(1)}] + [{} for _ in range(top)]
+    total = [{} for _ in range(top + 1)]
+    for l in range(top + 1):
+        for d, coefs in enumerate(power):
+            for mono, c in coefs.items():
+                total[d][mono] = total[d].get(mono, 0) + a(l) * c
+        power = _series_mul(power, x, top)
+    return [{m: c for m, c in coefs.items() if c} for coefs in total]
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_series_coefficients_match_direct_expansion(name):
+    a = SERIES[name]
+    for weight in (lambda i: 1, lambda i: i - 1, lambda i: 2 * i + 3):
+        for min_part in (1, 2):
+            want = _composed_series(a, weight, min_part, 8)
+            for n in range(9):
+                got = series_coefficients(n, min_part, lambda l: factorial(l) * a(l), weight)
+                assert list(got) == enumerate_partitions(n, min_part)
+                assert {m: c for m, c in got.items() if c} == want[n], (name, min_part, n)

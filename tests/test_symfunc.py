@@ -11,6 +11,7 @@ from kerovlab.symfunc import (
     SymFunc,
     gen_product_in_p,
     m_scalar_specialize,
+    p_in_gen,
     p_scalar_specialize,
     phi_hat,
 )
@@ -237,6 +238,31 @@ def test_e_h_products_match_fraction_generator_products():
                 den, numerators = gen_product_in_p(basis, lam)
                 got = {nu: Fraction(a, den) for nu, a in numerators.items()}
                 assert got == _old_product_in_p(basis, lam), (basis, lam)
+
+
+# the Newton recurrences that Waring's formula replaced, kept as the reference
+
+
+def _newton_p_in_e(n):
+    """p_n = sum_{k=1}^{n-1} (-1)^{k-1} e_k p_{n-k} + (-1)^{n-1} n e_n."""
+    out = {(n,): Fraction((-1) ** (n - 1) * n)}
+    for k in range(1, n):
+        symfunc._free_mul({(k,): (-1) ** (k - 1)}, _newton_p_in_e(n - k), out)
+    return out
+
+
+def _newton_p_in_h(n):
+    """p_n = n h_n - sum_{k=1}^{n-1} h_k p_{n-k}."""
+    out = {(n,): Fraction(n)}
+    for k in range(1, n):
+        symfunc._free_mul({(k,): -1}, _newton_p_in_h(n - k), out)
+    return out
+
+
+def test_waring_p_in_gen_matches_newton_recurrences():
+    for n in range(1, 13):
+        assert p_in_gen("e", n) == _newton_p_in_e(n), n
+        assert p_in_gen("h", n) == _newton_p_in_h(n), n
 
 
 def test_p_scalar_specialize():
