@@ -13,14 +13,13 @@ verification suite is declared once in SUITES, with the r-range it runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from math import comb, factorial, perm
+from typing import NamedTuple
 
 from .kerov import (
     CumulantPolynomial,
@@ -33,7 +32,7 @@ from .kerov import (
     weighted_triple_sum,
 )
 from .characters import normalized_character
-from .cumulants import free_cumulants
+from .cumulants import _cumulant_list
 from .linalg import FractionEchelon
 from .partitions import (
     Partition,
@@ -74,8 +73,7 @@ TABLE_TARGETS = {
 }
 
 
-@dataclass(frozen=True)
-class PaperTable:
+class PaperTable(NamedTuple):
     kind: str
     scale: int
     entries: dict[Partition, int]
@@ -105,6 +103,8 @@ def load_table(kind: str) -> PaperTable:
     fname = "closed_forms.json" if kind in ("f2", "g2", "F2") else f"{kind}.csv"
     raw = _read_table_file(fname)
     want = _checksums()["sha256"][fname]
+    import hashlib  # only the checksum needs it, and it is slow to import
+
     have = hashlib.sha256(raw).hexdigest()
     if have != want:
         raise ChecksumError(f"{fname}: sha256 {have} != recorded {want}")
@@ -171,8 +171,7 @@ def predicted_component(target: str, k: int, r: int, func: SymFunc) -> CumulantP
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExtractionReport:
+class ExtractionReport(NamedTuple):
     target: str
     k: int
     r_range: tuple[int, int]
@@ -180,7 +179,7 @@ class ExtractionReport:
     system_rank: int
     unknown_count: int
     consistent: bool
-    residual_rows: list[tuple[int, Partition]] = field(default_factory=list)
+    residual_rows: list[tuple[int, Partition]]
 
     def to_json_dict(self) -> dict:
         return {
@@ -253,15 +252,13 @@ def extract_symfunc(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TableCheck:
+class TableCheck(NamedTuple):
     r: int
     ok: bool
     first_mismatch: dict | None = None
 
 
-@dataclass
-class TableVerification:
+class TableVerification(NamedTuple):
     kind: str
     checks: list[TableCheck]
 
@@ -309,8 +306,7 @@ def verify_table(kind: str, r_range: tuple[int, int], provider: KerovProvider) -
     return TableVerification(kind=kind, checks=checks)
 
 
-@dataclass
-class PositivityReport:
+class PositivityReport(NamedTuple):
     negative: list[tuple[Partition, Fraction]]
     zero_count: int
     positive_count: int
@@ -421,8 +417,7 @@ def lemma_triple_e_in_h_weighted(n: int) -> tuple[SymFunc, SymFunc]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     ok: bool
     findings: list[str]
@@ -523,8 +518,10 @@ def _suite_kerov_theorem(provider: KerovProvider, lo: int, hi: int) -> SuiteRepo
     findings = []
     checked = 0
     for n in range(2, lam_max + 1):
-        for lam in enumerate_partitions(n):
-            cums = free_cumulants(lam, min(n, hi) + 1)
+        lams = enumerate_partitions(n)
+        cols = _cumulant_list(lams, min(n, hi) + 1)  # one block per weight
+        for i, lam in enumerate(lams):
+            cums = {k: cols[k][i] for k in range(2, len(cols))}
             for r in range(lo, min(n, hi) + 1):
                 checked += 1
                 got = provider.get(r).poly.evaluate(cums)
@@ -559,8 +556,7 @@ def _suite_lemmas(provider: KerovProvider, lo: int, hi: int) -> SuiteReport:
     return SuiteReport("lemmas", not findings, findings, {"n_max": hi, "draws": draws})
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """A verification suite and the range first..top of r (n for lemmas) it runs.
 
     --r-max replaces top, or only lowers it when `capped`.  `fixed` is an r

@@ -1,32 +1,38 @@
 """Young diagram -> interlacing sequences -> free cumulants, exactly.
 
 The diagram's boundary gives interlacing integer sequences (x, y) with
-center 0; the rational function G(z) = prod(z - y_i) / prod(z - x_j) expands
-as a moment series at infinity, and the free cumulants are the coefficients
-of its compositional inverse.  Everything is integer arithmetic: the moment
-series of an integer pair has integer coefficients, and so do the cumulants.
+center 0: the contents of its addable and of its removable corners.  For
+G(z) = prod(z - y_i) / prod(z - x_j), log(z G(z)) = sum_k L_k z^-k / k with
+L_k = p_k(x) - p_k(y), and Lagrange inversion (Biane, Characters of
+symmetric groups and free cumulants, LNM 1815, 2003) gives the free
+cumulants from these corner power sums: R_n = -(1/(n-1)) [u^n] M(u)^(1-n)
+for the moment series M(u) = exp(sum_k L_k u^k / k).  Everything is integer
+arithmetic, and the kernel works on a block of diagrams at once: each
+quantity is a column, one int per diagram, so the Python-level work is paid
+once per block.  The moment series itself (_moment_series) now serves only
+resolvent_series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
+from math import comb, factorial
+from operator import floordiv, mul, sub
 
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class InterlacingPair:
+class InterlacingPair(namedtuple("InterlacingPair", "x y")):
     """Sequences x (length d) and y (length d-1) with x1 < y1 < x2 < ... < xd.
 
     The center sum(x) - sum(y) must vanish; diagrams always produce center 0.
     """
 
-    x: tuple[int, ...]
-    y: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        x, y = self.x, self.y
+    def __new__(cls, x: tuple[int, ...], y: tuple[int, ...]):
         if len(x) != len(y) + 1:
             raise ValueError("x must be one longer than y")
         merged = [None] * (len(x) + len(y))
@@ -36,6 +42,22 @@ class InterlacingPair:
             raise ValueError(f"sequences do not interlace: x={x}, y={y}")
         if sum(x) - sum(y) != 0:
             raise ValueError("center must be 0")
+        return super().__new__(cls, x, y)
+
+
+def _corners(lam: Partition) -> tuple[list[int], list[int]]:
+    """Contents of the addable (x) and removable (y) corners of lam, unsorted.
+
+    Row i (1-based) ends in a removable corner where it is longer than the
+    row below, and the box after the end of row i + 1 is then addable; the
+    box after row 1 is addable too.
+    """
+    x, y = [lam[0]], []
+    for i, (a, b) in enumerate(zip(lam, lam[1:] + (0,)), 1):
+        if a > b:
+            y.append(a - i)
+            x.append(b - i)
+    return x, y
 
 
 def diagram_to_interlacing(lam: Partition) -> InterlacingPair:
@@ -47,16 +69,8 @@ def diagram_to_interlacing(lam: Partition) -> InterlacingPair:
     """
     if not lam:
         raise ValueError("the empty diagram has no corners")
-    removable = []
-    addable = [lam[0] + 1 - 1]  # box (row 1, col lam_1 + 1)
-    for i in range(1, len(lam) + 1):  # 1-based row index
-        below = lam[i] if i < len(lam) else 0
-        if lam[i - 1] > below:
-            removable.append(lam[i - 1] - i)
-            if i < len(lam):
-                addable.append(lam[i] + 1 - (i + 1))
-    addable.append(1 - (len(lam) + 1))
-    return InterlacingPair(tuple(sorted(addable)), tuple(sorted(removable)))
+    x, y = _corners(lam)
+    return InterlacingPair(tuple(sorted(x)), tuple(sorted(y)))
 
 
 def _moment_series(pair: InterlacingPair, order: int) -> list[int]:
@@ -87,31 +101,63 @@ def resolvent_series(pair: InterlacingPair, order: int) -> list[Fraction]:
     return [Fraction(v) for v in _moment_series(pair, order)]
 
 
-def _cumulants_from_moments(m: list[int]) -> list[int]:
-    """Invert the moment series order by order.
+def _columns(seqs: list[list[int]]) -> list[list[int]]:
+    """The sequences zero-padded to one length, as columns: entry i of
+    column t is seqs[i][t].  Zeros leave every power sum p_k, k >= 1, as it is."""
+    width = max(map(len, seqs))
+    return list(map(list, zip(*(s + [0] * (width - len(s)) for s in seqs))))
 
-    Writing the inverse as 1/w + sum R_k w^{k-1}, coefficient matching of the
-    composition gives M = 1 + sum_s R_s u^s M^s, which is triangular in the
-    R's: R_n = m_n - sum_{s<n} R_s [u^{n-s}] M^s.  Only degrees up to
-    order - s of M^s are ever read, so each power is kept to that degree.
+
+def _cumulant_list(lams: list[Partition], k_max: int) -> list[list[int]]:
+    """Columns R_0..R_{k_max} of the free cumulants of a block of diagrams:
+    column k holds R_k of each diagram, in the order of lams.
+
+    With a_k = (k-1)! L_k, h_{n,j} = n! [u^n] l(u)^j / j! for
+    l(u) = sum_k L_k u^k / k satisfies h_{0,0} = 1 and
+    h_{n,j} = (1/j) sum_k C(n,k) a_k h_{n-k,j-1}, and expanding
+    M^(1-n) = exp((1-n) l) gives
+    R_n = (1/n!) sum_j (-1)^(j+1) (n-1)^(j-1) h_{n,j}; both divisions are
+    exact.  R_1 = L_1 is the center; it must vanish, and then every a_1 term
+    drops out, so h_{n,j} = 0 unless n >= 2j.
     """
-    order = len(m) - 1
-    powers = [[1]]  # M^0
-    mpow = m[:order]
-    for s in range(1, order):
-        powers.append(mpow)
-        mpow = [sum(mpow[i] * m[k - i] for i in range(k + 1)) for k in range(order - s)]
-    r = [0] * (order + 1)
-    for n in range(1, order + 1):
-        r[n] = m[n] - sum(r[s] * powers[s][n - s] for s in range(1, n))
-    return r
+    if not lams:
+        return [[] for _ in range(k_max + 1)]
+    xs, ys = zip(*map(_corners, lams))
+    xs, ys = _columns(xs), _columns(ys)
+    px, py = xs, ys  # columns of x^k and y^k, corner by corner
+    power_sums = [None]  # L_1, L_2, ... from index 1
+    for k in range(1, k_max + 1):
+        if k > 1:
+            px = [list(map(mul, p, c)) for p, c in zip(px, xs)]
+            py = [list(map(mul, p, c)) for p, c in zip(py, ys)]
+        power_sums.append(list(map(sub, map(sum, zip(*px)), map(sum, zip(*py)))))
+    centers = power_sums[1]
+    if any(centers):
+        i = next(i for i, v in enumerate(centers) if v)
+        raise RuntimeError(f"diagram {lams[i]} is not centered: R_1 = {centers[i]}")
+    zero = [0] * len(lams)
+    a = [None, None] + [list(map(mul, power_sums[k], repeat(factorial(k - 1))))
+                        for k in range(2, k_max + 1)]
+    h: dict[tuple[int, int], list[int]] = {}
+    cols = [zero, zero]
+    for n in range(2, k_max + 1):
+        scaled = [None, None] + [list(map(mul, a[k], repeat(comb(n, k)))) for k in range(2, n - 1)]
+        terms = [a[n]]  # the j-th holds (-1)^(j+1) (n-1)^(j-1) h_{n,j}
+        h[n, 1] = a[n]
+        for j in range(2, n // 2 + 1):
+            col = map(sum, zip(*[map(mul, scaled[k], h[n - k, j - 1])
+                                 for k in range(2, n - 2 * j + 3)]))
+            col = h[n, j] = list(map(floordiv, col, repeat(j)))
+            terms.append(map(mul, col, repeat((-1) ** (j + 1) * (n - 1) ** (j - 1))))
+        cols.append(list(map(floordiv, map(sum, zip(*terms)), repeat(factorial(n)))))
+    return cols
 
 
 _cumulant_cache: dict[Partition, list[int]] = {}
 
 
 def free_cumulants(lam: Partition, k_max: int) -> dict[int, Fraction]:
-    """Free cumulants R_2..R_{k_max} of the diagram of lam.
+    """Free cumulants R_2..R_{k_max} of the diagram of lam, a block of one.
 
     R_1 always comes out 0 for a centered pair; it is checked rather than
     returned.
@@ -120,19 +166,10 @@ def free_cumulants(lam: Partition, k_max: int) -> dict[int, Fraction]:
         raise ValueError("the empty diagram has no cumulants")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    r = _cumulant_list(lam, k_max)
+    r = _cumulant_cache.get(lam)
+    if r is None or len(r) <= k_max:
+        r = _cumulant_cache[lam] = [col[0] for col in _cumulant_list([lam], k_max)]
     return {k: Fraction(r[k]) for k in range(2, k_max + 1)}
-
-
-def _cumulant_list(lam: Partition, k_max: int) -> list[int]:
-    cached = _cumulant_cache.get(lam)
-    if cached is None or len(cached) <= k_max:
-        pair = diagram_to_interlacing(lam)
-        cached = _cumulants_from_moments(_moment_series(pair, k_max))
-        if cached[1] != 0:
-            raise RuntimeError(f"diagram {lam} is not centered: R_1 = {cached[1]}")
-        _cumulant_cache[lam] = cached
-    return cached
 
 
 def _c_series(lam: Partition, n_max: int) -> tuple[list[Fraction], list[Fraction]]:

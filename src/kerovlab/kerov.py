@@ -5,7 +5,11 @@ linear solve, and is served only with a certificate against the character
 engine: weight by weight, the cores still live reach full column rank mod p
 on sampled diagrams and the closed form matches the integer character on
 every pivot diagram, which forces it to equal K_r; 300 seeded other diagrams
-and ten held-out ones are checked on top.
+and ten held-out ones are checked on top.  The certificate works a block of
+diagrams at a time: their free cumulants and core monomials are columns, one
+int per diagram, so the Python-level work is paid once per block.  At each
+weight a block is the next (live cores - rank) diagrams; a row adds at most
+one pivot, so no row is built past the diagram that completes the rank.
 
 Generator-family conversion is a series substitution in the quotient ring
 where the degree-one generators vanish: with X = sum (i-1) R_i z^i, the
@@ -22,13 +26,13 @@ import os
 import random
 import tempfile
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .characters import normalized_character
-from .cumulants import _cumulant_list, free_cumulants
+from .cumulants import _cumulant_list
 from .linalg import ModularEchelon
 from .partitions import (
     Partition,
@@ -92,21 +96,31 @@ class CumulantPolynomial(SparseTerms):
         return sorted({sum(mu) for mu in self.terms})
 
     def evaluate(self, values: dict[int, Fraction]) -> Fraction:
-        """Evaluate with generator i mapped to values[i]."""
-        total = Fraction(0)
-        for mu, c in self.terms.items():
-            v = c
-            for i in mu:
-                v *= values[i]
-            total += v
-        return total
+        """Evaluate with generator i mapped to values[i], in integers.
+
+        With d and e the lcms of the denominators of the values and of the
+        coefficients, c_mu prod_i v_i = (e c_mu) prod_i (d v_i) / (e d^l(mu));
+        each monomial is raised to the longest length L by d^(L - l(mu)), the
+        numerators are summed over shared suffix products and one Fraction
+        is built over e d^L.
+        """
+        if not self.terms:
+            return Fraction(0)
+        d = lcm(*(v.denominator for v in values.values()))
+        e = lcm(*(c.denominator for c in self.terms.values()))
+        scaled = {i: v.numerator * (d // v.denominator) for i, v in values.items()}
+        longest = max(map(len, self.terms))
+        lift = [d ** (longest - length) for length in range(longest + 1)]
+        products = _suffix_products(self.terms, lambda i, v: scaled[i] * v, 1)
+        total = sum(c.numerator * (e // c.denominator) * p * lift[len(mu)]
+                    for (mu, c), p in zip(self.terms.items(), products))
+        return Fraction(total, e * d**longest)
 
     def _monomial_text(self, mu: Partition) -> str:
         return "*".join(f"{self.family}{i}" for i in mu) or "1"
 
 
-@dataclass(frozen=True)
-class KerovPolynomial:
+class KerovPolynomial(NamedTuple):
     r: int
     poly: CumulantPolynomial
 
@@ -202,17 +216,28 @@ def _closed_form(r: int) -> dict[Partition, Fraction]:
     return {mu: Fraction(v, r * scale) for mu, v in out.items()}
 
 
-def _evaluation_row(support, cums, cache) -> list[int]:
-    # suffixes of a (parts >= 2)-partition are again such partitions, so a
-    # shared per-diagram suffix cache cuts the multiplication count
+def _suffix_products(monomials, times, one) -> list:
+    """prod_i g_{mu_i} for each monomial mu, with times(i, v) = g_i * v.
+
+    Suffixes of a (parts >= 2)-partition are again such partitions, so each
+    suffix product is computed once and shared.
+    """
+    cache = {(): one}
+
     def value(mu):
         v = cache.get(mu)
         if v is None:
-            v = cums[mu[0]] * value(mu[1:]) if mu else 1
-            cache[mu] = v
+            v = cache[mu] = times(mu[0], value(mu[1:]))
         return v
 
-    return [value(mu) for mu in support]
+    return [value(mu) for mu in monomials]
+
+
+def _evaluation_row(monomials, cols) -> list[list[int]]:
+    """The monomials' columns over a block of diagrams (row i of the result's
+    transpose is diagram i's row), from its cumulant columns: cols[k][i] is
+    R_k of diagram i."""
+    return _suffix_products(monomials, lambda i, v: list(map(mul, cols[i], v)), [1] * len(cols[0]))
 
 
 def _integer_character(lam: Partition, r: int) -> int:
@@ -233,7 +258,10 @@ def compute_kerov(r: int) -> KerovPolynomial:
     p over the live cores until it has full column rank (so full rank over Q),
     and F must equal the integer character on every pivot diagram.  That
     forces d_g(n) = 0 for the live cores, so D = 0 after the longest chain.
-    A seeded 300 of the other diagrams are checked too and ten held out.
+    A seeded 300 of the other diagrams are checked too, as one block, and
+    ten held out.  Rows are built a block at a time, each block as long as
+    the rank still missing, so the rows and pivots are those of adding the
+    diagrams one by one.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -249,8 +277,9 @@ def compute_kerov(r: int) -> KerovPolynomial:
         f_coeffs[_core(mu)][mu.count(2)] = int(c * den)
     f_values: dict[int, list[int]] = {}  # n -> f_g(n) for every core
 
-    def row_of(lam: Partition) -> list[int]:
-        return _evaluation_row(cores, _cumulant_list(lam, r + 1), {})
+    def rows_of(block: list[Partition]):
+        """The core row of each diagram of the block."""
+        return zip(*_evaluation_row(cores, _cumulant_list(block, r + 1)))
 
     def check(lam: Partition, row: list[int]) -> None:
         n = sum(lam)
@@ -265,22 +294,23 @@ def compute_kerov(r: int) -> KerovPolynomial:
         live = [k for k, g in enumerate(cores) if chains[g] > j]
         ech = ModularEchelon(len(live))
         diagrams = enumerate_partitions(n)
-        for i, lam in enumerate(diagrams):
-            if ech.rank == len(live):
-                others.extend(diagrams[i:])
-                break
-            row = row_of(lam)
-            if ech.add_row([row[k] for k in live]):
-                check(lam, row)
-            else:
-                others.append(lam)
-        if ech.rank < len(live):
-            raise KerovComputationError(
-                f"K_{r}: rank {ech.rank} of {len(live)} live cores at weight {n}"
-            )
+        done = 0
+        while ech.rank < len(live):  # each row adds at most one pivot
+            block = diagrams[done : done + len(live) - ech.rank]
+            if not block:
+                raise KerovComputationError(
+                    f"K_{r}: rank {ech.rank} of {len(live)} live cores at weight {n}"
+                )
+            for lam, row in zip(block, rows_of(block)):
+                if ech.add_row([row[k] for k in live]):
+                    check(lam, row)
+                else:
+                    others.append(lam)
+            done += len(block)
+        others.extend(diagrams[done:])
     recheck = random.Random(20_000 + r).sample(others, min(300, len(others)))
-    for lam in recheck:
-        check(lam, row_of(lam))
+    for lam, row in zip(recheck, rows_of(recheck)):
+        check(lam, row)
     rechecked = set(recheck)
     pool = [lam for lam in others if lam not in rechecked]
     while len(pool) < 10:  # small r: add the next weights, none of them sampled
@@ -296,8 +326,9 @@ def _verify_held_out(kp: KerovPolynomial, pool: list[Partition]) -> list[Partiti
     the pool against the oracle; returns the ten."""
     r = kp.r
     picks = random.Random(10_000 + r).sample(pool, 10)
-    for lam in picks:
-        got = kp.poly.evaluate(free_cumulants(lam, r + 1))
+    cols = _cumulant_list(picks, r + 1)
+    for i, lam in enumerate(picks):
+        got = kp.poly.evaluate({k: cols[k][i] for k in range(2, r + 2)})
         want = normalized_character(lam, r)
         if got != want:
             raise KerovComputationError(

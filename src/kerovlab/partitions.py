@@ -72,18 +72,33 @@ def _partitions_cached(n: int, min_part: int) -> tuple[Partition, ...]:
     key = (n, min_part)
     got = _enum_cache.get(key)
     if got is None:
-        got = tuple(_gen_partitions(n, min_part, n))
-        _enum_cache[key] = got
+        got = _enum_cache[key] = _build_partitions(n, min_part)
     return got
 
 
-def _gen_partitions(n, min_part, max_part):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), min_part - 1, -1):
-        for rest in _gen_partitions(n - first, min_part, first):
-            yield (first,) + rest
+def _build_partitions(n: int, min_part: int) -> tuple[Partition, ...]:
+    """The partitions of n with parts >= min_part, reverse-lexicographic.
+
+    Those of k with parts in [min_part, m] are (m,) + rest, rest running over
+    those of k - m with parts in [min_part, m], followed by those of k with
+    parts in [min_part, m - 1]; each (k, m) is built once, and the memo lives
+    only for this fill.
+    """
+    memo: dict[tuple[int, int], tuple[Partition, ...]] = {}
+
+    def build(k: int, m: int) -> tuple[Partition, ...]:
+        if k == 0:
+            return ((),)
+        m = min(k, m)
+        if m < min_part:
+            return ()
+        got = memo.get((k, m))
+        if got is None:
+            head = (m,)
+            got = memo[k, m] = tuple([head + rest for rest in build(k - m, m)]) + build(k, m - 1)
+        return got
+
+    return build(n, n)
 
 
 def z_factor(mu: Partition) -> int:

@@ -200,6 +200,19 @@ def test_cold_kerov_never_imports_numpy(tmp_path):
     assert (tmp_path / "kerov_r10.json").exists()
 
 
+def test_cli_import_leaves_out_dataclasses_and_hashlib():
+    # every CLI process pays for its imports; hashlib is loaded by the table
+    # checksum only, and no record type needs dataclasses
+    script = "import sys, kerovlab.cli\nprint('dataclasses' in sys.modules, 'hashlib' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["False", "False"]
+
+
 def test_verify_finding_exits_1(capsys, monkeypatch):
     import kerovlab.cli as cli
     from kerovlab.conjectures import SuiteReport

@@ -226,20 +226,33 @@ def test_inverse_composes_back_to_identity():
 
 
 def test_truncated_inversion_matches_full_order():
+    # one block per weight mixes diagrams with different corner counts, so the
+    # zero padding is exercised; blocks of one are the free_cumulants path
     for n in range(1, 15):
-        for lam in enumerate_partitions(n):
-            m = cumulants._moment_series(diagram_to_interlacing(lam), 20)
-            want = full_order_cumulants(m)  # R_n reads only m_0..m_n
-            for order in range(2, 21):
-                got = cumulants._cumulants_from_moments(m[: order + 1])
-                assert got == want[: order + 1], (lam, order)
+        lams = enumerate_partitions(n)
+        want = [full_order_cumulants(cumulants._moment_series(diagram_to_interlacing(lam), 20))
+                for lam in lams]
+        for order in range(2, 21):
+            cols = cumulants._cumulant_list(lams, order)
+            assert len(cols) == order + 1, (n, order)
+            assert [list(row) for row in zip(*cols)] == [w[: order + 1] for w in want], (n, order)
+        for lam, w in zip(lams, want):
+            for order in (2, 20):
+                assert [col[0] for col in cumulants._cumulant_list([lam], order)] == w[: order + 1]
 
 
 def test_uncentered_cumulants_are_an_error(monkeypatch):
+    # corners with center 1 give R_1 = 1; the block names the diagram that has it
+    real_corners = cumulants._corners
     monkeypatch.setattr(cumulants, "_cumulant_cache", {})
-    monkeypatch.setattr(cumulants, "_cumulants_from_moments", lambda m: [0, 1] + m[2:])
+    monkeypatch.setattr(
+        cumulants, "_corners", lambda lam: ([-1, 2], [0]) if lam == (3, 1) else real_corners(lam)
+    )
+    with pytest.raises(RuntimeError, match=r"\(3, 1\) is not centered: R_1 = 1"):
+        cumulants._cumulant_list([(2, 2), (3, 1), (4,)], 4)
     with pytest.raises(RuntimeError, match="R_1"):
         free_cumulants((3, 1), 4)
+    assert free_cumulants((2, 2), 4) == {2: 4, 3: 0, 4: -16}
 
 
 def test_r2_is_weight_and_conjugation_sign():

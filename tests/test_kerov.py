@@ -152,8 +152,8 @@ def test_stop_keeps_the_pivots_of_full_sampling(monkeypatch):
             live = [k for k, g in enumerate(cores) if chains[g] > j]
             ref = linalg.ModularEchelon(len(live))
             want = []
-            for lam in enumerate_partitions(r + j):
-                row = kerov._evaluation_row(cores, kerov._cumulant_list(lam, r + 1), {})
+            block = enumerate_partitions(r + j)  # the whole weight as one block
+            for row in zip(*kerov._evaluation_row(cores, kerov._cumulant_list(block, r + 1))):
                 row = [row[k] for k in live]
                 if real_add_row(ref, row):
                     want.append(row)
@@ -212,29 +212,80 @@ def test_held_out_check_catches_a_wrong_polynomial():
             kerov._verify_held_out(kerov.KerovPolynomial(8, wrong), pool)
 
 
-def test_held_out_checks_ten_unchecked_diagrams(monkeypatch):
-    # ten distinct diagrams at every r, none of them a pivot or re-checked one
-    picked, checked = [], []
+@pytest.fixture(scope="module")
+def certificates():
+    """For r = 2..16: rows sent to each weight's echelon, the diagrams checked
+    against the character in order (pivots, then the re-check) and the ten
+    held-out picks."""
+    traces = {}
+    real_add_row = kerov.ModularEchelon.add_row
     real_verify, real_character = kerov._verify_held_out, kerov._integer_character
+    rec = {}
+
+    def recording_add_row(self, row):
+        rec["rows"][self] = rec["rows"].get(self, 0) + 1  # keyed by the echelon itself
+        return real_add_row(self, row)
 
     def recording_verify(kp, pool):
-        picked.append(real_verify(kp, pool))
-        return picked[-1]
+        rec["picks"].append(real_verify(kp, pool))
+        return rec["picks"][-1]
 
     def recording_character(lam, r):
-        checked.append(lam)
+        rec["checked"].append(lam)
         return real_character(lam, r)
 
-    monkeypatch.setattr(kerov, "_verify_held_out", recording_verify)
-    monkeypatch.setattr(kerov, "_integer_character", recording_character)
-    for r in range(2, 17):
-        picked.clear()
-        checked.clear()
-        compute_kerov(r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kerov.ModularEchelon, "add_row", recording_add_row)
+        mp.setattr(kerov, "_verify_held_out", recording_verify)
+        mp.setattr(kerov, "_integer_character", recording_character)
+        for r in range(2, 17):
+            rec.update(rows={}, checked=[], picks=[])
+            compute_kerov(r)
+            traces[r] = (tuple(rec["rows"].values()), rec["checked"], rec["picks"])
+    return traces
+
+
+def test_held_out_checks_ten_unchecked_diagrams(certificates):
+    # ten distinct diagrams at every r, none of them a pivot or re-checked one
+    for r, (_, checked, picked) in certificates.items():
         [picks] = picked
         assert len(set(picks)) == 10, r
         assert not set(picks) & set(checked), r
         assert all(sum(lam) >= r for lam in picks), r
+
+
+# r -> (rows sent to the echelon of each weight r, r+1, ..., number of
+# diagrams checked against the character, sha256 prefixes of the checked
+# sequence and of the ten held-out picks), as the one-diagram-at-a-time
+# certificate recorded them
+PINNED_CERTIFICATES = {
+    2: ((1,), 2, "d423b4adab2fdfa7", "2c6596fe8d8182f4"),
+    3: ((2, 1, 1), 15, "17fbb65c5754ea5d", "3ae1b722c1fe0f1c"),
+    4: ((2, 1), 12, "bb5355b1c3add319", "630b38ccf4840d3a"),
+    5: ((4, 2, 1, 1), 55, "62793bf834fb67a4", "cce6f2a30a89c10a"),
+    6: ((4, 2, 1), 48, "05ed408b95a56501", "5f3c7bad3fe686e0"),
+    7: ((7, 4, 2, 1, 1), 165, "13594984d7cdc805", "47cc47af662ac335"),
+    8: ((9, 4, 2, 1), 150, "3826c269bad09d21", "cba39fe942571aa5"),
+    9: ((12, 7, 4, 2, 1, 1), 327, "e3a36ced74fc0ee7", "f73348e75819ee40"),
+    10: ((15, 9, 4, 2, 1), 329, "f648680e5f4bb37b", "53798f3cb8bdd891"),
+    11: ((24, 12, 7, 4, 2, 1, 1), 348, "3e87c011a0e5038b", "e0be034a43689675"),
+    12: ((25, 15, 9, 4, 2, 1), 353, "d8204b2da3aa82e8", "1121371a870fd3ee"),
+    13: ((36, 25, 12, 7, 4, 2, 1, 1), 382, "06679c6d2a0aba85", "5cd9add96d5721df"),
+    14: ((42, 25, 15, 9, 4, 2, 1), 394, "4a5a9daf9eb8e562", "d66e0a0b38356637"),
+    15: ((58, 37, 25, 12, 7, 4, 2, 1, 1), 437, "da811a14fd144741", "0b4847e5cbb02089"),
+    16: ((74, 42, 25, 15, 9, 4, 2, 1), 460, "6c1b7b9fb7a77887", "e489bb953f21c30d"),
+}
+
+
+def test_certificate_diagrams_are_pinned(certificates):
+    # blocks of diagrams build no row past the one that completes each rank,
+    # and check the same pivots, re-check sample and held-out picks, in order
+    def digest(x):
+        return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+    assert sum(certificates[16][0]) == 172
+    for r, (rows, checked, [picks]) in certificates.items():
+        assert (rows, len(checked), digest(checked), digest(picks)) == PINNED_CERTIFICATES[r], r
 
 
 def test_non_integer_character_is_an_error(monkeypatch):

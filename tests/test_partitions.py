@@ -76,6 +76,24 @@ def test_enumerate_reverse_lex_order():
     ]
 
 
+def reference_partitions(n, min_part, max_part):
+    """The recursive generator the memoized build replaced, kept as the order reference."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), min_part - 1, -1):
+        for rest in reference_partitions(n - first, min_part, first):
+            yield (first,) + rest
+
+
+def test_enumeration_order_matches_the_recursive_generator():
+    for min_part in (1, 2, 3, 5):
+        for n in range(27):
+            assert enumerate_partitions(n, min_part) == list(
+                reference_partitions(n, min_part, n)
+            ), (n, min_part)
+
+
 def test_enumeration_counts_match_pentagonal_recurrence():
     p = pentagonal_p(30)
     for n in range(31):
