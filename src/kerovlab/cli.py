@@ -111,7 +111,8 @@ def cmd_character(args) -> int:
 
 def cmd_extract(args) -> int:
     provider = _provider(args)
-    provider.precompute(range(args.r_min, args.r_max + 1), jobs=_jobs(args))
+    # only r >= 2k - 1 has a weight r - 2k + 1 component to read
+    provider.precompute(range(max(args.r_min, 2 * args.k - 1), args.r_max + 1), jobs=_jobs(args))
     report = extract_symfunc(args.family, args.k, (args.r_min, args.r_max), provider)
     _dump(report.to_json_dict())
     status = "consistent" if report.consistent else f"{len(report.residual_rows)} conflicts"

@@ -19,11 +19,13 @@ from collections.abc import Callable
 from fractions import Fraction
 from importlib import resources
 from math import comb, factorial, perm
+from operator import mul
 from typing import NamedTuple
 
 from .kerov import (
     CumulantPolynomial,
     KerovProvider,
+    _evaluation_row,
     change_generators,
     kerov_findings,
     krr1_closed_form,
@@ -46,7 +48,7 @@ from .partitions import (
     series_coefficients,
     z_factor,
 )
-from .symfunc import SymFunc, monomial_value
+from .symfunc import SymFunc, _numerators, monomial_value
 
 
 class ChecksumError(RuntimeError):
@@ -204,11 +206,14 @@ def extract_symfunc(
     Unknowns are monomial coefficients c_rho for 0 <= |rho| <= 4(k-1),
     constant term included.  Every admissible monomial of every component in
     the r range contributes one equation; rows that contradict the span of
-    the earlier ones are recorded as residual rows rather than raised.
+    the earlier ones are recorded as residual rows rather than raised.  An r
+    range with no component (r - 2k + 1 < 0 throughout) is a ValueError.
     """
     if target not in _TARGET_FAMILY:
         raise ValueError(f"unknown target {target!r}")
     r_lo, r_hi = r_range
+    if r_hi - 2 * k + 1 < 0:
+        raise ValueError(f"no r in {r_lo}..{r_hi} has a weight r-2k+1 >= 0 component for k={k}")
     family = _TARGET_FAMILY[target]
     unknowns: list[Partition] = []
     for d in range(0, 4 * (k - 1) + 1):
@@ -350,66 +355,50 @@ def _eee_sum(n: int, weight: str = "1") -> SymFunc:
 
     weight "1" takes w = 1 and weight "i2" takes w(i) = i^2.
     """
-    terms: dict[Partition, Fraction] = {}
+    terms: dict[Partition, int] = {}
     for i in range(n + 1):
         for j in range(n + 1 - i):
             k = n - i - j
             mu = tuple(sorted((v for v in (i, j, k) if v), reverse=True))
             w = i * i if weight == "i2" else 1
             if w:
-                terms[mu] = terms.get(mu, Fraction(0)) + w
+                terms[mu] = terms.get(mu, 0) + w
     return SymFunc("e", terms)
 
 
 def lemma_triple_e_in_p(n: int) -> tuple[SymFunc, SymFunc]:
     """The plain triple e-sum and its power-sum form with factor 3^l(mu)."""
-    rhs = SymFunc(
-        "p",
-        {
-            mu: Fraction(epsilon(mu) * 3 ** len(mu), z_factor(mu))
-            for mu in enumerate_partitions(n)
-        },
-    )
-    return _eee_sum(n), rhs
+    rhs = {mu: Fraction(epsilon(mu) * 3 ** len(mu), z_factor(mu)) for mu in enumerate_partitions(n)}
+    return _eee_sum(n), SymFunc("p", rhs)
 
 
 def lemma_triple_e_in_p_weighted(n: int) -> tuple[SymFunc, SymFunc]:
     """The i^2-weighted triple e-sum against 3^(l-2) (n^2 + 2 p_2(mu))."""
-    rhs = SymFunc(
-        "p",
-        {
-            mu: Fraction(epsilon(mu), z_factor(mu))
-            * Fraction(3) ** (len(mu) - 2)
-            * (n * n + 2 * power_sum_value(2, mu))
-            for mu in enumerate_partitions(n)
-        },
-    )
-    return _eee_sum(n, "i2"), rhs
+    rhs = {
+        mu: Fraction(epsilon(mu) * 3 ** len(mu) * (n * n + 2 * power_sum_value(2, mu)),
+                     9 * z_factor(mu))
+        for mu in enumerate_partitions(n)
+    }
+    return _eee_sum(n, "i2"), SymFunc("p", rhs)
 
 
 def lemma_triple_e_in_h(n: int) -> tuple[SymFunc, SymFunc]:
     """The plain triple e-sum against (1/2) (l(mu)+2)!/prod m_i! h_mu."""
-    rhs = SymFunc(
-        "h",
-        {
-            mu: Fraction(epsilon(mu) * factorial(len(mu) + 2), 2 * mult_factorial(mu))
-            for mu in enumerate_partitions(n)
-        },
-    )
-    return _eee_sum(n), rhs
+    rhs = {
+        mu: Fraction(epsilon(mu) * factorial(len(mu) + 2), 2 * mult_factorial(mu))
+        for mu in enumerate_partitions(n)
+    }
+    return _eee_sum(n), SymFunc("h", rhs)
 
 
 def lemma_triple_e_in_h_weighted(n: int) -> tuple[SymFunc, SymFunc]:
     """The i^2-weighted triple e-sum against (1/12)(n^2 + p_2(mu)) h_mu form."""
-    rhs = SymFunc(
-        "h",
-        {
-            mu: Fraction(epsilon(mu) * factorial(len(mu) + 2), 12 * mult_factorial(mu))
-            * (n * n + power_sum_value(2, mu))
-            for mu in enumerate_partitions(n)
-        },
-    )
-    return _eee_sum(n, "i2"), rhs
+    rhs = {
+        mu: Fraction(epsilon(mu) * factorial(len(mu) + 2) * (n * n + power_sum_value(2, mu)),
+                     12 * mult_factorial(mu))
+        for mu in enumerate_partitions(n)
+    }
+    return _eee_sum(n, "i2"), SymFunc("h", rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +508,21 @@ def _suite_kerov_theorem(provider: KerovProvider, lo: int, hi: int) -> SuiteRepo
     checked = 0
     for n in range(2, lam_max + 1):
         lams = enumerate_partitions(n)
+        rs = range(lo, min(n, hi) + 1)
         cols = _cumulant_list(lams, min(n, hi) + 1)  # one block per weight
+        values = {}  # r -> K_r's denominator and its numerators on the block
+        for r in rs:
+            terms = provider.get(r).poly.terms
+            den, numerators = _numerators(terms.values())
+            rows = zip(*_evaluation_row(list(terms), cols))
+            values[r] = den, [sum(map(mul, numerators, row)) for row in rows]
         for i, lam in enumerate(lams):
-            cums = {k: cols[k][i] for k in range(2, len(cols))}
-            for r in range(lo, min(n, hi) + 1):
+            for r in rs:
                 checked += 1
-                got = provider.get(r).poly.evaluate(cums)
+                den, got = values[r][0], values[r][1][i]
                 want = normalized_character(lam, r)
-                if got != want:
-                    findings.append(f"K_{r} at lambda={lam}: {got} != {want}")
+                if got * want.denominator != want.numerator * den:
+                    findings.append(f"K_{r} at lambda={lam}: {Fraction(got, den)} != {want}")
     return SuiteReport(
         "kerov-theorem", not findings, findings, {"lambda_max": lam_max, "checked": checked}
     )

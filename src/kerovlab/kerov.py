@@ -16,7 +16,10 @@ where the degree-one generators vanish: with X = sum (i-1) R_i z^i, the
 identities 1/(1-X) = C(z), -log(1-X) = Q(z) and exp(Q(z)) = C(z) give each
 generator of one family as a partition sum over the generators of another,
 with parts >= 2 (`partitions.series_coefficients`), and each monomial's
-expansion is memoized as a suffix product.
+expansion is memoized as a suffix product.  Exact arithmetic runs on integer
+numerators over one common denominator: a conversion, an evaluation or a
+triple sum scales its rationals to integers once and builds one Fraction per
+output term.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import random
 import tempfile
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -42,7 +45,8 @@ from .partitions import (
     series_coefficients,
     z_factor,
 )
-from .symfunc import SparseTerms, _free_mul, _sort_key, phi_hat
+from .symfunc import (Expansion, SparseTerms, _expand, _free_mul, _numerators, _product_expansion,
+                      _sort_key, phi_hat)
 
 FAMILIES = ("R", "C", "Q")
 
@@ -106,14 +110,13 @@ class CumulantPolynomial(SparseTerms):
         """
         if not self.terms:
             return Fraction(0)
-        d = lcm(*(v.denominator for v in values.values()))
-        e = lcm(*(c.denominator for c in self.terms.values()))
-        scaled = {i: v.numerator * (d // v.denominator) for i, v in values.items()}
+        d, scaled = _numerators(values.values())
+        scaled = dict(zip(values, scaled))
+        e, numerators = _numerators(self.terms.values())
         longest = max(map(len, self.terms))
         lift = [d ** (longest - length) for length in range(longest + 1)]
         products = _suffix_products(self.terms, lambda i, v: scaled[i] * v, 1)
-        total = sum(c.numerator * (e // c.denominator) * p * lift[len(mu)]
-                    for (mu, c), p in zip(self.terms.items(), products))
+        total = sum(a * p * lift[len(mu)] for mu, a, p in zip(self.terms, numerators, products))
         return Fraction(total, e * d**longest)
 
     def _monomial_text(self, mu: Partition) -> str:
@@ -165,20 +168,15 @@ def _cores(r: int) -> Counter:
     return Counter(_core(mu) for mu in kerov_support(r))
 
 
-# nu -> L_nu = prod L_{nu_i} in the R_i, where L_n = n [u^n] log M(u) for the
-# moment series M; Lagrange inversion of M = 1 + sum R_s (uM)^s gives
+# nu -> L_nu = prod L_{nu_i} in the R_i (a suffix product), where L_n = n [u^n] log M(u)
+# for the moment series M; Lagrange inversion of M = 1 + sum R_s (uM)^s gives
 # L_n = sum over mu |- n with parts >= 2 of n! / ((n - l(mu))! prod m_i(mu)!) R_mu.
-_log_moments: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
+_log_moments: dict[tuple[str, Partition], Expansion] = {}
 
 
-def _log_moment_monomial(nu: Partition) -> dict[Partition, int]:
-    got = _log_moments.get(nu)
-    if got is None:  # the suffix product L_{nu_1} * L_{nu[1:]}
-        n = nu[0]
-        head = {mu: factorial(n) // (factorial(n - len(mu)) * mult_factorial(mu))
-                for mu in enumerate_partitions(n, 2)}
-        got = _log_moments[nu] = _free_mul(head, _log_moment_monomial(nu[1:]))
-    return got
+def _log_moment(n: int) -> Expansion:
+    return 1, {mu: factorial(n) // (factorial(n - len(mu)) * mult_factorial(mu))
+               for mu in enumerate_partitions(n, 2)}
 
 
 def _closed_form(r: int) -> dict[Partition, Fraction]:
@@ -212,7 +210,8 @@ def _closed_form(r: int) -> dict[Partition, Fraction]:
         for nu in enumerate_partitions(w, 2):
             coef = (-1) ** (len(nu) + 1) * (scale // z_factor(nu)) * product(nu)[top - w]
             if coef:
-                _free_mul({(): coef}, _log_moment_monomial(nu), out)
+                _, monomial = _product_expansion(_log_moments, "L", nu, _log_moment)
+                _free_mul({(): coef}, monomial, out)
     return {mu: Fraction(v, r * scale) for mu, v in out.items()}
 
 
@@ -271,10 +270,10 @@ def compute_kerov(r: int) -> KerovPolynomial:
         raise KerovComputationError(f"K_{r}: closed form leaves the support at {min(outside)}")
     chains = _cores(r)
     cores = list(chains)
-    den = lcm(*(c.denominator for c in terms.values()))  # den * F = sum_g g * f_g(R_2)
+    den, numerators = _numerators(terms.values())  # den * F = sum_g g * f_g(R_2)
     f_coeffs = {g: [0] * length for g, length in chains.items()}
-    for mu, c in terms.items():
-        f_coeffs[_core(mu)][mu.count(2)] = int(c * den)
+    for mu, a in zip(terms, numerators):
+        f_coeffs[_core(mu)][mu.count(2)] = a
     f_values: dict[int, list[int]] = {}  # n -> f_g(n) for every core
 
     def rows_of(block: list[Partition]):
@@ -359,26 +358,21 @@ _PHI = {
     ("C", "Q"): lambda l: 1,
     ("Q", "C"): lambda l: (-1) ** (l - 1) * factorial(l - 1),
 }
-# (src, dst, mu) -> the source monomial mu expanded in the target generators
-_monomials: dict[tuple[str, str, Partition], dict[Partition, Fraction]] = {}
+# ((src, dst), mu) -> the source monomial mu in the target generators
+_monomials: dict[tuple[tuple[str, str], Partition], Expansion] = {}
 
 
-def _monomial(src: str, dst: str, mu: Partition) -> dict[Partition, Fraction]:
-    """The source monomial mu in the target generators: gen(mu[0]) * (mu[1:])."""
-    key = (src, dst, mu)
-    got = _monomials.get(key)
-    if got is None:
-        if mu:
-            i = mu[0]
-            weight = (lambda j: j - 1) if dst == "R" else (lambda j: 1)
-            gen = series_coefficients(i, 2, _PHI[(src, dst)], weight)
-            if src == "R":  # (i-1) R_i = -H_i
-                gen = {nu: c / (1 - i) for nu, c in gen.items()}
-            got = _free_mul(gen, _monomial(src, dst, mu[1:]))
-        else:
-            got = {(): Fraction(1)}
-        _monomials[key] = got
-    return got
+def _monomial(src: str, dst: str, mu: Partition) -> Expansion:
+    """The source monomial mu in the target generators, generator by generator."""
+    def gen(i):
+        weight = (lambda j: j - 1) if dst == "R" else (lambda j: 1)
+        coeffs = series_coefficients(i, 2, _PHI[(src, dst)], weight)
+        den, numerators = _numerators(coeffs.values())
+        if src == "R":  # (i-1) R_i = -H_i
+            den, numerators = den * (i - 1), [-a for a in numerators]
+        return den, dict(zip(coeffs, numerators))
+
+    return _product_expansion(_monomials, (src, dst), mu, gen)
 
 
 def change_generators(poly: CumulantPolynomial, target: str) -> CumulantPolynomial:
@@ -394,10 +388,10 @@ def change_generators(poly: CumulantPolynomial, target: str) -> CumulantPolynomi
         raise ValueError(f"unknown family {target!r}")
     if target == poly.family:
         return poly
-    out: dict[Partition, Fraction] = {}
-    for mu, c in poly.terms.items():
-        _free_mul({(): c}, _monomial(poly.family, target, mu), out)
-    return CumulantPolynomial(target, out)
+    den, numerators = _numerators(poly.terms.values())
+    den, out = _expand(den, zip(poly.terms, numerators),
+                       lambda mu: _monomial(poly.family, target, mu))
+    return CumulantPolynomial(target, {nu: Fraction(v, den) for nu, v in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -434,19 +428,17 @@ def triple_sum_bruteforce(a, b, c, n: int) -> CumulantPolynomial:
     """sum over (i,j,k) with i+j+k = n of (a + b i + c i^2) C_i C_j C_k.
 
     Triples containing 1 drop out (C_1 = 0); zeros contribute C_0 = 1.  The
-    weight is applied once per monomial, to the integer sums of 1, i and i^2.
+    weights are summed in integers, with a, b and c over one denominator.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    i_values: dict[Partition, list[int]] = {}  # monomial -> the i of each of its triples
+    d, (a, b, c) = _numerators(map(Fraction, (a, b, c)))
+    sums: dict[Partition, int] = {}  # monomial -> d times its summed weight
     for i in range(n + 1):
         for j in range(n + 1 - i):
             k = n - i - j
             if 1 not in (i, j, k):
                 mu = tuple(sorted((v for v in (i, j, k) if v), reverse=True))
-                i_values.setdefault(mu, []).append(i)
-    return CumulantPolynomial("C", {
-        mu: a * len(iv) + b * sum(iv) + c * sum(i * i for i in iv) for mu, iv in i_values.items()
-    })
+                sums[mu] = sums.get(mu, 0) + a + b * i + c * i * i
+    return CumulantPolynomial("C", {mu: Fraction(v, d) for mu, v in sums.items()})
 
 
 def weighted_triple_sum(a, b, c, n: int, family: str) -> CumulantPolynomial:
@@ -454,19 +446,26 @@ def weighted_triple_sum(a, b, c, n: int, family: str) -> CumulantPolynomial:
 
     R form: (l(mu)+2)! phi_hat(mu) script-R_mu summed over |mu| = n;
     Q form: 3^l(mu) (a + b n/3 + (c/9)(n^2 + 2 p_2(mu))) script-Q_mu.
+    One Fraction per monomial: with a, b, c = A, B, C over d, the Q coefficient
+    is 3^l (9A + 3Bn + C(n^2 + 2 p_2)) / (9 d prod_i m_i(mu)!).
     """
     if family not in ("R", "Q"):
         raise ValueError("family must be 'R' or 'Q'")
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    terms = {}
     if family == "R":
-        kernel = phi_hat(a, b, c, n).evaluate
-        factors = series_coefficients(n, 2, lambda l: factorial(l + 2), lambda i: i - 1)
+        kernel = phi_hat(a, b, c, n).terms  # its p-terms, evaluated in integers
+        den, numerators = _numerators(kernel.values())
+        for mu in enumerate_partitions(n, 2):
+            value = sum(coef * prod(power_sum_value(k, mu) for k in lam)
+                        for lam, coef in zip(kernel, numerators))
+            fac = factorial(len(mu) + 2) * prod(i - 1 for i in mu)
+            terms[mu] = Fraction(fac * value, den * mult_factorial(mu))
     else:
-        def kernel(mu):
-            return a + b * n / 3 + c * (n * n + 2 * power_sum_value(2, mu)) / 9
-
-        factors = series_coefficients(n, 2, lambda l: 3**l, lambda i: 1)
-    return CumulantPolynomial(family, {mu: fac * kernel(mu) for mu, fac in factors.items()})
+        d, (a, b, c) = _numerators(map(Fraction, (a, b, c)))
+        for mu in enumerate_partitions(n, 2):
+            value = 9 * a + 3 * b * n + c * (n * n + 2 * power_sum_value(2, mu))
+            terms[mu] = Fraction(3 ** len(mu) * value, 9 * d * mult_factorial(mu))
+    return CumulantPolynomial(family, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ partitions are dictionary keys throughout the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, prod
 
 Partition = tuple[int, ...]
@@ -122,6 +123,7 @@ def u_factor(mu: Partition) -> int:
     return u
 
 
+@cache
 def mult_factorial(mu: Partition) -> int:
     """prod_i m_i(mu)!."""
     out = 1

@@ -8,15 +8,19 @@ algebra is free and a product of basis elements is concatenation of the
 index partitions.  An e or h product reaches p through class sizes, and p_n
 goes back to e or h by Waring's formula, one partition sum per generator.
 Evaluation at an integer vector is direct integer substitution in the
-function's own basis, with no basis change.  Inhomogeneous values are first
-class; the empty partition indexes the constant term.
+function's own basis, with no basis change.  Exact arithmetic runs on integer
+numerators over one common denominator (`_numerators`, `_expand`): every
+cached expansion is a denominator and integer numerators, and a conversion or
+evaluation builds one Fraction per output term.  Inhomogeneous values are
+first class; the empty partition indexes the constant term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
+from operator import mul
 
 from .partitions import (
     Partition,
@@ -36,9 +40,32 @@ BASES = ("m", "p", "e", "h")
 # expansion caches (idempotent fill: recomputation yields identical entries)
 # ---------------------------------------------------------------------------
 
-_gen_in_p: dict[tuple[str, Partition], tuple[int, dict[Partition, int]]] = {}
+Expansion = tuple[int, dict[Partition, int]]  # (denominator, integer numerators)
+
+_gen_in_p: dict[tuple[str, Partition], Expansion] = {}
+_p_in_gen: dict[tuple[str, Partition], Expansion] = {}
 _p_in_m: dict[Partition, dict[Partition, int]] = {}
-_m_in_p: dict[Partition, dict[Partition, Fraction]] = {}
+_m_in_p: dict[Partition, Expansion] = {}
+
+
+def _numerators(coeffs) -> tuple[int, list[int]]:
+    """The lcm d of the rationals' denominators and the integers d * c."""
+    coeffs = list(coeffs)
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _expand(den: int, terms, expansion) -> Expansion:
+    """sum of (a / den) expansion(lam) over (lam, a) in terms, each expansion a
+    (d, numerators) pair: integer numerators over den * lcm(d), zeros dropped."""
+    expanded = [(a, expansion(lam)) for lam, a in terms]
+    scale = lcm(*(d for _, (d, _) in expanded))
+    out: dict[Partition, int] = {}
+    for a, (d, ex) in expanded:
+        a *= scale // d
+        for nu, b in ex.items():
+            out[nu] = out.get(nu, 0) + a * b
+    return den * scale, {nu: v for nu, v in out.items() if v}
 
 
 def _free_mul(f: dict, g: dict, out: dict | None = None) -> dict:
@@ -60,37 +87,45 @@ def _free_mul(f: dict, g: dict, out: dict | None = None) -> dict:
     return out
 
 
-def gen_product_in_p(basis: str, lam: Partition) -> tuple[int, dict[Partition, int]]:
+def _product_expansion(table: dict, key, lam: Partition, single) -> Expansion:
+    """prod_i single(lam_i) of (d, numerators) pairs, memoized per suffix of lam."""
+    got = table.get((key, lam))
+    if got is None:
+        if len(lam) <= 1:
+            got = single(lam[0]) if lam else (1, {(): 1})
+        else:
+            head_den, head = _product_expansion(table, key, lam[:1], single)
+            tail_den, tail = _product_expansion(table, key, lam[1:], single)
+            got = (head_den * tail_den, _free_mul(head, tail))
+        table[key, lam] = got
+    return got
+
+
+def gen_product_in_p(basis: str, lam: Partition) -> Expansion:
     """e_lam or h_lam in p, as integer numerators over the denominator prod lam_i!.
 
     n! h_n = sum over |mu| = n of (n!/z_mu) p_mu, with n!/z_mu the size of the
     class of cycle type mu; n! e_n carries the sign eps(mu).
     """
-    got = _gen_in_p.get((basis, lam))
-    if got is None:
-        if len(lam) <= 1:
-            n = sum(lam)
-            den = factorial(n)
-            sign = epsilon if basis == "e" else (lambda mu: 1)
-            got = (den, {mu: sign(mu) * (den // z_factor(mu)) for mu in enumerate_partitions(n)})
-        else:
-            head_den, head = gen_product_in_p(basis, lam[:1])
-            tail_den, tail = gen_product_in_p(basis, lam[1:])
-            got = (head_den * tail_den, _free_mul(head, tail))
-        _gen_in_p[(basis, lam)] = got
-    return got
+    def single(n):
+        den = factorial(n)
+        sign = epsilon if basis == "e" else (lambda mu: 1)
+        return den, {mu: sign(mu) * (den // z_factor(mu)) for mu in enumerate_partitions(n)}
+
+    return _product_expansion(_gen_in_p, basis, lam, single)
 
 
-@cache
-def p_in_gen(basis: str, n: int) -> dict[Partition, Fraction]:
+def p_in_gen(basis: str, n: int) -> Expansion:
     """p_n in the e or h basis by Waring's formula:
 
     p_n = n [t^n] log(1 + sum_k h_k t^k) = (-1)^(n-1) n [t^n] log(1 + sum_k e_k t^k).
     """
     sign = (-1) ** (n - 1) if basis == "e" else 1
-    return series_coefficients(
+    coeffs = series_coefficients(
         n, 1, lambda l: sign * n * (-1) ** (l - 1) * factorial(l - 1), lambda i: 1
     )
+    den, numerators = _numerators(coeffs.values())
+    return den, dict(zip(coeffs, numerators))
 
 
 def _m_times_pn(f: dict[Partition, int], n: int) -> dict[Partition, int]:
@@ -133,27 +168,19 @@ def _fill_m_to_p(degree: int) -> None:
     """
     parts = enumerate_partitions(degree)
     index = {lam: i for i, lam in enumerate(parts)}
-    rows = [p_in_m(mu) for mu in parts]
-    for i, row in enumerate(rows):
+    for i, mu in enumerate(parts):
+        row = p_in_m(mu)
         if any(index[lam] > i for lam in row):
             raise RuntimeError(f"p -> m transition in degree {degree} is not triangular")
-    for i, mu in enumerate(parts):
-        acc: dict[Partition, Fraction] = {mu: Fraction(1)}
-        diag = Fraction(rows[i][mu])
-        for lam, a in rows[i].items():
-            j = index[lam]
-            if j == i:
-                continue
-            for nu, b in _m_in_p[lam].items():
-                val = acc.get(nu, 0) - a * b
-                if val:
-                    acc[nu] = val
-                elif nu in acc:
-                    del acc[nu]
-        _m_in_p[parts[i]] = {nu: b / diag for nu, b in acc.items()}
+        earlier = [(lam, -a) for lam, a in row.items() if lam != mu]
+        den, acc = _expand(1, earlier, m_in_p)
+        acc[mu] = acc.get(mu, 0) + den
+        den *= row[mu]
+        g = gcd(den, *acc.values())
+        _m_in_p[mu] = (den // g, {nu: v // g for nu, v in acc.items()})
 
 
-def m_in_p(lam: Partition) -> dict[Partition, Fraction]:
+def m_in_p(lam: Partition) -> Expansion:
     got = _m_in_p.get(lam)
     if got is None:
         _fill_m_to_p(sum(lam))
@@ -201,6 +228,12 @@ def _sort_key(lam: Partition):
     return (-sum(lam), tuple(-p for p in lam))
 
 
+def _parse_rational(text) -> Fraction:
+    """The "num" or "num/den" text of format_rational, parsed as integers."""
+    num, _, den = str(text).partition("/")
+    return Fraction(int(num), int(den or 1))
+
+
 class SparseTerms:
     """A sparse map from partitions to nonzero rationals, tagged with one of
     the subclass's TAGS: the basis or generator family the partitions index.
@@ -221,7 +254,8 @@ class SparseTerms:
         self.tag = tag
         clean: dict[Partition, Fraction] = {}
         for lam, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 lam = check_partition(lam)
                 if lam and lam[-1] < self.MIN_PART:
@@ -261,7 +295,7 @@ class SparseTerms:
 
     @classmethod
     def from_terms_json(cls, tag: str, terms: list[dict]):
-        return cls(tag, {tuple(t["partition"]): Fraction(t["coef"]) for t in terms})
+        return cls(tag, {tuple(t["partition"]): _parse_rational(t["coef"]) for t in terms})
 
     def to_text(self) -> str:
         if not self.terms:
@@ -304,7 +338,8 @@ class SymFunc(SparseTerms):
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymFunc):
             return NotImplemented
-        return self.convert("p").terms == other.convert("p").terms
+        (d, f), (e, g) = self._p_numerators(), other._p_numerators()
+        return f.keys() == g.keys() and all(a * e == g[mu] * d for mu, a in f.items())
 
     def __hash__(self):
         return hash((("p"), tuple(sorted(self.convert("p").terms.items()))))
@@ -318,32 +353,24 @@ class SymFunc(SparseTerms):
             return self
         return SymFunc(target, self._to_basis(target))
 
-    def _to_p_terms(self) -> dict[Partition, Fraction]:
+    def _p_numerators(self) -> Expansion:
+        """The function in p, as integer numerators over one denominator."""
+        den, numerators = _numerators(self.terms.values())
+        terms = zip(self.terms, numerators)
         if self.basis == "p":
-            return self.terms
-        out: dict[Partition, Fraction] = {}
-        for lam, c in self.terms.items():
-            if self.basis == "m":
-                _free_mul({(): c}, m_in_p(lam), out)
-            else:
-                den, numerators = gen_product_in_p(self.basis, lam)
-                _free_mul({(): c / den}, numerators, out)
-        return out
+            return den, dict(terms)
+        if self.basis == "m":
+            return _expand(den, terms, m_in_p)
+        return _expand(den, terms, lambda lam: gen_product_in_p(self.basis, lam))
 
     def _to_basis(self, target: str) -> dict[Partition, Fraction]:
-        pterms = self._to_p_terms()
-        if target == "p":
-            return dict(pterms)
-        out: dict[Partition, Fraction] = {}
-        for mu, c in pterms.items():
-            if target == "m":
-                expansion: dict = p_in_m(mu)
-            else:
-                expansion = {(): Fraction(1)}
-                for part in mu:
-                    expansion = _free_mul(expansion, p_in_gen(target, part))
-            _free_mul({(): c}, expansion, out)
-        return out
+        den, pterms = self._p_numerators()
+        if target == "m":
+            den, pterms = _expand(den, pterms.items(), lambda mu: (1, p_in_m(mu)))
+        elif target != "p":
+            den, pterms = _expand(den, pterms.items(), lambda mu: _product_expansion(
+                _p_in_gen, target, mu, lambda n: p_in_gen(target, n)))
+        return {mu: Fraction(v, den) for mu, v in pterms.items()}
 
     # -- evaluation ----------------------------------------------------------
 
@@ -359,7 +386,8 @@ class SymFunc(SparseTerms):
             top = max((lam[0] for lam in self.terms if lam), default=0)
             g = _generator_values(self.basis, v, top)
             values = (prod(g[part] for part in lam) for lam in self.terms)
-        return sum((c * val for c, val in zip(self.terms.values(), values)), Fraction(0))
+        den, numerators = _numerators(self.terms.values())
+        return Fraction(sum(map(mul, numerators, values)), den)
 
     # -- serialization -------------------------------------------------------
 
@@ -400,6 +428,6 @@ def phi_hat(a, b, c, n: int) -> SymFunc:
     partition of n turns the weighted triple convolution of a sequence into a
     single sum over partitions.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    const = a / 2 + b * n / 6 + c * n * n / 12
-    return SymFunc("p", {(): const, (2,): c / 12})
+    d, (a, b, c) = _numerators(map(Fraction, (a, b, c)))
+    const = Fraction(6 * a + 2 * b * n + c * n * n, 12 * d)
+    return SymFunc("p", {(): const, (2,): Fraction(c, 12 * d)})

@@ -7,7 +7,10 @@ the traced run sizes, the same way the tracer does.
 """
 
 import importlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -34,3 +37,21 @@ def test_every_sized_cache_is_a_module_dict():
     for metric, (mod_name, attr) in _layers()["CACHES"].items():
         module = importlib.import_module(f"kerovlab.{mod_name}")
         assert isinstance(getattr(module, attr, None), dict), metric
+
+
+def test_cli_import_loads_every_module_with_a_boundary():
+    # the traced run wraps only the modules `import kerovlab.cli` has loaded,
+    # so a module made lazy would silently lose its per-layer metrics
+    wanted = sorted({f"kerovlab.{mod}" for mod, _ in _layers()["BOUNDARIES"]})
+    script = (
+        "import sys, kerovlab.cli\n"
+        f"print(' '.join(m for m in {wanted!r} if m not in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == []
+    assert len(wanted) >= 8

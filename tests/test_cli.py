@@ -242,3 +242,15 @@ def test_selftest_green(capsys):
     reports = json.loads(out)
     assert all(rep["ok"] for rep in reports)
     assert err.count("PASS") == len(reports)
+
+
+def test_extract_with_no_component_in_range_is_a_usage_error(capsys, tmp_path):
+    # r - 2k + 1 < 0 for every r in 2..3: nothing to solve, and no K_r is computed
+    code, out, err = run_cli(
+        capsys, "extract", "--family", "f", "--k", "12", "--r-min", "2", "--r-max", "3",
+        "--jobs", "1", "--cache-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert "no r in 2..3" in err and "usage:" in err
+    assert list(tmp_path.iterdir()) == []

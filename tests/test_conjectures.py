@@ -189,6 +189,16 @@ def test_extract_flags_inconsistency():
     assert rep.solution is None
 
 
+def test_extract_raises_before_building_unknowns():
+    class Untouched:
+        def component(self, r, s, family):
+            raise AssertionError("no component should be read")
+
+    # k = 40 would need every partition of 0..156 as an unknown
+    with pytest.raises(ValueError, match="no r in 5..20"):
+        extract_symfunc("g", 40, (5, 20), Untouched())
+
+
 def test_extraction_report_json(provider):
     rep = extract_symfunc("f", 1, (3, 6), provider)
     data = rep.to_json_dict()

@@ -184,6 +184,12 @@ def _old_product_in_p(basis, lam):
     return expansion
 
 
+def _fractions(expansion):
+    """A (denominator, integer numerators) expansion as a map to Fractions."""
+    den, numerators = expansion
+    return {nu: Fraction(a, den) for nu, a in numerators.items()}
+
+
 def _p_route(f):
     """The p expansion of f as (denominator, integer numerators)."""
     out = {}
@@ -191,7 +197,7 @@ def _p_route(f):
         if f.basis == "p":
             expansion = {lam: 1}
         elif f.basis == "m":
-            expansion = symfunc.m_in_p(lam)
+            expansion = _fractions(symfunc.m_in_p(lam))
         else:
             expansion = _old_product_in_p(f.basis, lam)
         symfunc._free_mul({(): c}, expansion, out)
@@ -261,8 +267,8 @@ def _newton_p_in_h(n):
 
 def test_waring_p_in_gen_matches_newton_recurrences():
     for n in range(1, 13):
-        assert p_in_gen("e", n) == _newton_p_in_e(n), n
-        assert p_in_gen("h", n) == _newton_p_in_h(n), n
+        assert _fractions(p_in_gen("e", n)) == _newton_p_in_e(n), n
+        assert _fractions(p_in_gen("h", n)) == _newton_p_in_h(n), n
 
 
 def test_p_scalar_specialize():
