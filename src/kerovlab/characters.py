@@ -1,16 +1,16 @@
 """Exact irreducible characters of symmetric groups.
 
-Dimensions come from the hook length formula; character values from the
-Murnaghan-Nakayama border-strip recursion, run on beta-numbers (first-column
-hook lengths) and stripping the largest cycle first.  For the cycle types
-(r, 1, ..., 1) used by the normalized character this reduces immediately to
-signed sums of hook dimensions, so the memo tables stay small.
+The normalized character of an r-cycle comes from Frobenius' formula, one
+sum over the beta-numbers (first-column hook lengths) of the diagram.
+General cycle types go through the Murnaghan-Nakayama border-strip
+recursion, run on beta-numbers and stripping the largest cycle first, and
+dimensions through the hook length formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, perm, prod
 
 from .partitions import Partition, conjugate
 
@@ -93,12 +93,18 @@ def _mn(lam: Partition, mu: Partition) -> int:
 
 
 def normalized_character(lam: Partition, r: int) -> Fraction:
-    """(n)_r * chi^lam(r-cycle) / dim(lam), for n = |lam| >= r."""
+    """(n)_r * chi^lam(r-cycle) / dim(lam), for n = |lam| >= r, by Frobenius'
+    formula: with beta_i = lam_i + l - i, the sum over beads b with b - r >= 0
+    not in beta of (b)_r prod_{c != b} (b - r - c) / (b - c)."""
     if r < 2:
         raise ValueError("r must be >= 2")
-    n = sum(lam)
-    if n < r:
+    if sum(lam) < r:
         raise ValueError("character of an r-cycle needs n >= r")
-    mu = (r,) + (1,) * (n - r)
-    raw = _mn(lam, mu)
-    return Fraction(perm(n, r) * raw, dimension(lam))
+    beta = _beta(lam)
+    num, den = 0, 1
+    for b in beta:
+        if b >= r and b - r not in beta:
+            top = perm(b, r) * prod(b - r - c for c in beta if c != b)
+            bottom = prod(b - c for c in beta if c != b)
+            num, den = num * bottom + top * den, den * bottom
+    return Fraction(num, den)

@@ -10,6 +10,7 @@ transparent to results.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -229,4 +230,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # what is alive dies with the process: spare the exit-time collections
+    sys.exit(code)

@@ -28,7 +28,9 @@ import json
 import os
 import random
 import tempfile
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, factorial, prod
 from operator import mul
@@ -41,8 +43,10 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     mult_factorial,
+    partition_count,
     power_sum_value,
     series_coefficients,
+    unrank_partition,
     z_factor,
 )
 from .symfunc import (Expansion, SparseTerms, _expand, _free_mul, _numerators, _product_expansion,
@@ -260,7 +264,8 @@ def compute_kerov(r: int) -> KerovPolynomial:
     A seeded 300 of the other diagrams are checked too, as one block, and
     ten held out.  Rows are built a block at a time, each block as long as
     the rank still missing, so the rows and pivots are those of adding the
-    diagrams one by one.
+    diagrams one by one.  No weight is enumerated: the blocks, the re-check
+    and the held-out picks are unranked from a lazy view of the diagrams.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -287,40 +292,70 @@ def compute_kerov(r: int) -> KerovPolynomial:
         if sum(map(mul, row, f_values[n])) != den * _integer_character(lam, r):
             raise KerovComputationError(f"K_{r}: closed form does not fit diagram {lam}")
 
-    others: list[Partition] = []  # the diagrams of these weights that were not pivots
+    others = _Diagrams()  # the diagrams of these weights, less the pivots
     for j in range(max(chains.values())):
         n = r + j
         live = [k for k, g in enumerate(cores) if chains[g] > j]
         ech = ModularEchelon(len(live))
-        diagrams = enumerate_partitions(n)
-        done = 0
+        start = others.ends[-1]
+        others.add(n)
         while ech.rank < len(live):  # each row adds at most one pivot
-            block = diagrams[done : done + len(live) - ech.rank]
-            if not block:
+            ranks = range(start, min(others.ends[-1], start + len(live) - ech.rank))
+            if not ranks:
                 raise KerovComputationError(
                     f"K_{r}: rank {ech.rank} of {len(live)} live cores at weight {n}"
                 )
-            for lam, row in zip(block, rows_of(block)):
+            block = [others.at(i) for i in ranks]
+            for i, lam, row in zip(ranks, block, rows_of(block)):
                 if ech.add_row([row[k] for k in live]):
                     check(lam, row)
-                else:
-                    others.append(lam)
-            done += len(block)
-        others.extend(diagrams[done:])
-    recheck = random.Random(20_000 + r).sample(others, min(300, len(others)))
+                    others.skip.append(i)
+            start = ranks.stop
+    picks = random.Random(20_000 + r).sample(range(len(others)), min(300, len(others)))
+    recheck = [others[i] for i in picks]
     for lam, row in zip(recheck, rows_of(recheck)):
         check(lam, row)
-    rechecked = set(recheck)
-    pool = [lam for lam in others if lam not in rechecked]
-    while len(pool) < 10:  # small r: add the next weights, none of them sampled
+    others.skip = sorted(others.skip + [others.position(i) for i in picks])  # the held-out pool
+    while len(others) < 10:  # small r: add the next weights, none of them sampled
         n += 1
-        pool.extend(enumerate_partitions(n))
+        others.add(n)
     kp = KerovPolynomial(r, CumulantPolynomial("R", terms))
-    _verify_held_out(kp, pool)
+    _verify_held_out(kp, others)
     return kp
 
 
-def _verify_held_out(kp: KerovPolynomial, pool: list[Partition]) -> list[Partition]:
+class _Diagrams(Sequence):
+    """The diagrams of a run of weights in enumerate_partitions order, less
+    the sorted positions in skip; each is unranked only when read."""
+
+    def __init__(self):
+        self.weights, self.ends, self.skip = [], [0], []  # skip: positions among all
+
+    def add(self, n: int) -> None:
+        self.weights.append(n)
+        self.ends.append(self.ends[-1] + partition_count(n))
+
+    def __len__(self) -> int:
+        return self.ends[-1] - len(self.skip)
+
+    def position(self, i: int) -> int:
+        """Where the i-th diagram not skipped sits: the least p = i + #(skip <= p)."""
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        p = i
+        while (q := i + bisect_right(self.skip, p)) != p:
+            p = q
+        return p
+
+    def at(self, p: int) -> Partition:
+        k = bisect_right(self.ends, p) - 1
+        return unrank_partition(self.weights[k], p - self.ends[k])
+
+    def __getitem__(self, i: int) -> Partition:
+        return self.at(self.position(i))
+
+
+def _verify_held_out(kp: KerovPolynomial, pool: Sequence[Partition]) -> list[Partition]:
     """Evaluate the polynomial at the free cumulants of ten seeded diagrams of
     the pool against the oracle; returns the ten."""
     r = kp.r

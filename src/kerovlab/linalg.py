@@ -2,6 +2,8 @@
 
 * ModularEchelon -- incremental column rank mod p in pure Python; rank mod p
   never exceeds the rational rank, so full rank mod p certifies full rank.
+  Rows are packed into ints, an entry per 64-bit slot; ncols >= 2^13 or
+  p >= 2^25, where a slot could carry, raise ValueError.
 * solve_exact / solve_crt -- multi-prime solving with Chinese remaindering,
   each prime's solve run on a ModularEchelon of the augmented rows, and
   accepted only after an exact integer check of every equation.
@@ -15,9 +17,10 @@ benchmark's layer list still use them.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -61,18 +64,22 @@ def word_primes(count: int) -> list[int]:
 class ModularEchelon:
     """Row echelon basis mod p, grown one row at a time.
 
-    Basis row k is 1 in its pivot column and 0 in the earlier ones, so a new
-    row's coefficient on it is its entry there less the earlier rows' share.
-    The basis is stored by column, so each reduction is one C-level dot
-    product; below 2^25, sums of 2^13 products stay in a machine word.
+    Basis row k is reduced mod p, 1 at its pivot and 0 at the earlier pivots,
+    and packed into one int, column j in a 64-bit slot at bit _shift[j] (64 j
+    on little-endian machines, counted from the top on big-endian ones).  A
+    new row v is reduced by v += (p - a) B_k, a its slot at pivot k mod p, then
+    unpacked once and reduced mod p; its first nonzero entry is its pivot.
+    Each step adds under 2^50 to a slot, so below 2^13 steps none carries.
     """
 
     def __init__(self, ncols: int, prime: int | None = None):
         self.ncols = ncols
         self.prime = prime or ECHELON_PRIME
+        if ncols >= 2**13 or self.prime >= 2**25:
+            raise ValueError("ModularEchelon needs ncols < 2^13 and a prime below 2^25")
         self.pivot_cols: list[int] = []
-        self._pivots: list[list[int]] = []  # pivot k's column in basis rows 0..k-1
-        self._free: dict[int, list[int]] = {j: [] for j in range(ncols)}
+        self._basis: list[int] = []  # packed basis rows
+        self._shift = range(0, 64 * ncols, 64)[:: -1 if sys.byteorder == "big" else 1]
 
     @property
     def rank(self) -> int:
@@ -81,20 +88,32 @@ class ModularEchelon:
     def add_row(self, row_ints) -> bool:
         """Reduce a row against the basis; returns True if it added a pivot."""
         p = self.prime
-        coeffs: list[int] = []
-        for c, col in zip(self.pivot_cols, self._pivots):
-            coeffs.append((row_ints[c] - sum(map(mul, coeffs, col))) % p)
-        reduced = {j: (row_ints[j] - sum(map(mul, coeffs, col))) % p
-                   for j, col in self._free.items()}
-        pivot = next((j for j, v in reduced.items() if v), None)
+        v = _pack([x % p for x in row_ints])
+        for c, b in zip(self.pivot_cols, self._basis):
+            a = (v >> self._shift[c] & 0xFFFF_FFFF_FFFF_FFFF) % p
+            if a:
+                v += (p - a) * b
+        reduced = [x % p for x in _unpack(v, self.ncols)]
+        pivot = next((j for j, x in enumerate(reduced) if x), None)
         if pivot is None:
             return False
-        inv = pow(reduced.pop(pivot), p - 2, p)
-        self._pivots.append(self._free.pop(pivot))
-        for j, v in reduced.items():
-            self._free[j].append(v * inv % p)
+        inv = pow(reduced[pivot], p - 2, p)
+        self._basis.append(_pack([x * inv % p for x in reduced]))
         self.pivot_cols.append(pivot)
         return True
+
+
+if array("Q").itemsize != 8:
+    raise ImportError("ModularEchelon needs 64-bit array('Q') items")
+
+
+def _pack(entries: list[int]) -> int:
+    """Entries in [0, 2^64) as one int, a 64-bit slot each in native byte order."""
+    return int.from_bytes(array("Q", entries), sys.byteorder)
+
+
+def _unpack(v: int, ncols: int) -> array:
+    return array("Q", v.to_bytes(8 * ncols, sys.byteorder))
 
 
 def solve_bareiss(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
@@ -132,20 +151,22 @@ def _solve_mod_p(rows, rhs, p) -> list[int] | None:
     """Solve the square system mod p on a ModularEchelon of its augmented rows.
 
     None when it is singular mod p: a row adds no pivot, or the rhs column
-    does.  Otherwise basis row k reads x[pivot k] + sum over later pivots j
-    of _pivots[j][k] * x[pivot j] = b[k], solved from the last pivot back.
+    does.  Otherwise unpacked basis row k reads x[pivot k] + sum over later
+    pivots j of row[pivot j] * x[pivot j] = row[n], solved from the last
+    pivot back.
     """
     n = len(rows)
     ech = ModularEchelon(n + 1, p)
     for r, b in zip(rows, rhs):
         if not ech.add_row([*r, b]):
             return None
-    if n not in ech._free:
+    if n in ech.pivot_cols:
         return None
-    b, cols, piv = ech._free[n], ech.pivot_cols, ech._pivots
+    cols = ech.pivot_cols
     x = [0] * n
     for k in range(n - 1, -1, -1):
-        x[cols[k]] = (b[k] - sum(piv[j][k] * x[cols[j]] for j in range(k + 1, n))) % p
+        row = _unpack(ech._basis[k], n + 1)
+        x[cols[k]] = (row[n] - sum(row[cols[j]] * x[cols[j]] for j in range(k + 1, n))) % p
     return x
 
 

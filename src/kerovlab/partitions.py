@@ -8,6 +8,7 @@ partitions are dictionary keys throughout the package.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
@@ -100,6 +101,35 @@ def _build_partitions(n: int, min_part: int) -> tuple[Partition, ...]:
         return got
 
     return build(n, n)
+
+
+_counts: list[list[int]] = [[1]]  # _counts[k][m]: partitions of k with parts <= m <= k
+
+
+def partition_count(n: int) -> int:
+    """Number of partitions of n, from a table of those with parts <= m."""
+    while len(_counts) <= n:
+        k, row = len(_counts), [0]
+        for j in range(1, k + 1):  # a part j, or parts <= j - 1
+            row.append(_counts[k - j][min(j, k - j)] + row[-1])
+        _counts.append(row)
+    return _counts[n][n]
+
+
+def unrank_partition(n: int, index: int) -> Partition:
+    """The partition at `index` in enumerate_partitions(n), built alone: those
+    of k with parts <= m run through first part m, m - 1, ..., so the c-th
+    from the end has first part j, the least with _counts[k][j] >= c."""
+    if not 0 <= index < partition_count(n):
+        raise IndexError(f"partition rank {index} out of range for n = {n}")
+    parts: list[int] = []
+    while n:
+        row = _counts[n]
+        c = row[min(parts[-1], n) if parts else n] - index
+        j = bisect_left(row, c)
+        parts.append(j)
+        index, n = row[j] - c, n - j
+    return tuple(parts)
 
 
 def z_factor(mu: Partition) -> int:

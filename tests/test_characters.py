@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import perm
 
 import pytest
 
@@ -124,6 +125,16 @@ def test_normalized_is_integral():
             for r in range(2, min(n, 8) + 1):
                 value = normalized_character(lam, r)
                 assert isinstance(value, Fraction) and value.denominator == 1
+
+
+def test_normalized_matches_murnaghan_nakayama():
+    # Frobenius' formula against (n)_r chi^lam(r, 1^(n-r)) / dim(lam) by the
+    # border-strip recursion, for every lam |- n <= 14 and 2 <= r <= n
+    for n in range(2, 15):
+        for lam in enumerate_partitions(n):
+            for r in range(2, n + 1):
+                raw = mn_character(lam, (r,) + (1,) * (n - r))
+                assert normalized_character(lam, r) == Fraction(perm(n, r) * raw, dimension(lam)), (lam, r)
 
 
 def test_normalized_conjugation_sign():

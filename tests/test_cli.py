@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -21,6 +22,22 @@ def test_kerov_json_bytes(capsys):
     assert code == 0
     assert out == '{"r":3,"terms":[{"partition":[4],"coef":"1"},{"partition":[2],"coef":"1"}]}\n'
     assert "K_3" in err
+
+
+# sha256 of the stdout of `kerov --r N` past golden.json's r = 16, recorded
+# when the certificate still enumerated every diagram of its weights
+KEROV_STDOUT_SHA256 = {
+    17: "6d8020741bc0d8e1a587a59a895534187f7a6393473bdbb78491192c14fbf2b9",
+    18: "6fd0156284ecd21174e66dccf44f7bdaa0a6451e7a18ffdefe699e24a747ac4c",
+    19: "a1a94d7c8d507e56b40aec3c0bf6623a34bf99999a01942b9231437ca3cda7d8",
+}
+
+
+@pytest.mark.parametrize("r", sorted(KEROV_STDOUT_SHA256))
+def test_kerov_stdout_is_pinned_past_the_golden_range(capsys, r):
+    code, out, _ = run_cli(capsys, "kerov", "--r", str(r), "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == KEROV_STDOUT_SHA256[r]
 
 
 def test_kerov_component_and_bases(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import kerovlab.kerov as kerov
 import kerovlab.linalg as linalg
+import kerovlab.partitions as partitions
 from kerovlab.characters import normalized_character
 from kerovlab.cumulants import c_values, diagram_to_interlacing, free_cumulants, q_values
 from kerovlab.kerov import (
@@ -286,6 +287,41 @@ def test_certificate_diagrams_are_pinned(certificates):
     assert sum(certificates[16][0]) == 172
     for r, (rows, checked, [picks]) in certificates.items():
         assert (rows, len(checked), digest(checked), digest(picks)) == PINNED_CERTIFICATES[r], r
+
+
+def test_certificate_enumerates_no_certified_weight(monkeypatch):
+    # every enumeration goes through the partitions memo; the diagrams of
+    # weights 16.. are unranked one by one instead, so only the support's
+    # parts->=2 partitions are enumerated at those weights
+    calls = []
+    real = partitions._partitions_cached
+
+    def counting(n, min_part):
+        calls.append((n, min_part))
+        return real(n, min_part)
+
+    monkeypatch.setattr(partitions, "_partitions_cached", counting)
+    compute_kerov(16)
+    assert calls and not [(n, m) for n, m in calls if n >= 16 and m < 2]
+
+
+def test_lazy_diagrams_match_the_materialized_list():
+    rng = random.Random(3)
+    for weights in ([5], [2, 3, 4], [8, 9, 10, 11]):
+        view = kerov._Diagrams()
+        full = []
+        for n in weights:
+            view.add(n)
+            full += enumerate_partitions(n)
+        view.skip = sorted(rng.sample(range(len(full)), len(full) // 3))
+        kept = [lam for i, lam in enumerate(full) if i not in set(view.skip)]
+        assert len(view) == len(kept) and list(view) == kept
+        assert [view.position(i) for i in range(len(view))] == [
+            i for i in range(len(full)) if i not in set(view.skip)]
+        for k in (1, min(10, len(kept)), len(kept)):
+            assert random.Random(k).sample(view, k) == random.Random(k).sample(kept, k)
+        with pytest.raises(IndexError):
+            view[len(view)]
 
 
 def test_non_integer_character_is_an_error(monkeypatch):

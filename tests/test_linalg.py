@@ -1,5 +1,6 @@
 import os
 import random
+from operator import mul
 import subprocess
 import sys
 from fractions import Fraction
@@ -151,6 +152,83 @@ def test_modular_echelon_matches_rational_echelon_pivots():
                 reduced.append([v / x[col] for v in x])
                 want.append(col)
         assert ech.pivot_cols == want and ech.rank == fraction_rank(rows)
+
+
+class ColumnEchelon:
+    """The column-stored echelon the packed one replaced, kept as reference:
+    basis row k is 1 in its pivot column and 0 in the earlier ones, and a new
+    row's coefficient on it is its entry there less the earlier rows' share."""
+
+    def __init__(self, ncols, prime=ECHELON_PRIME):
+        self.prime, self.pivot_cols, self._pivots = prime, [], []
+        self._free = {j: [] for j in range(ncols)}
+
+    @property
+    def rank(self):
+        return len(self.pivot_cols)
+
+    def add_row(self, row_ints):
+        p = self.prime
+        coeffs = []
+        for c, col in zip(self.pivot_cols, self._pivots):
+            coeffs.append((row_ints[c] - sum(map(mul, coeffs, col))) % p)
+        reduced = {j: (row_ints[j] - sum(map(mul, coeffs, col))) % p
+                   for j, col in self._free.items()}
+        pivot = next((j for j, v in reduced.items() if v), None)
+        if pivot is None:
+            return False
+        inv = pow(reduced.pop(pivot), p - 2, p)
+        self._pivots.append(self._free.pop(pivot))
+        for j, v in reduced.items():
+            self._free[j].append(v * inv % p)
+        self.pivot_cols.append(pivot)
+        return True
+
+
+def seeded_rows(rng, ncols, nrows, rank, p):
+    """Rows spanning at most `rank` dimensions, with entries >= p, negative and
+    huge entries, all-zero columns and repeated rows."""
+    pick = [lambda: rng.randint(-9, 9), lambda: p + rng.randint(0, 3 * p),
+            lambda: -rng.randint(1, 10**30), lambda: p - 1, lambda: 0]
+    dead = set(rng.sample(range(ncols), ncols // 5))
+    basis = [[0 if j in dead else rng.choice(pick)() for j in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.2:
+            rows.append(list(rng.choice(rows)))
+        else:  # a combination of up to three basis rows
+            terms = [(rng.randint(-2, 2), b) for b in rng.sample(basis, min(3, rank))]
+            rows.append([sum(c * b[j] for c, b in terms) for j in range(ncols)])
+    return rows
+
+
+def test_packed_echelon_matches_the_column_stored_reference():
+    rng = random.Random(23)
+    for ncols in (1, 2, 3, 7, 40, 200):
+        for p in (ECHELON_PRIME, 101, 2)[: 1 if ncols > 40 else 3]:
+            for rank in {1, max(1, ncols // 2), ncols}:
+                rows = seeded_rows(rng, ncols, 2 * rank + 3, rank, p)
+                packed, ref = ModularEchelon(ncols, p), ColumnEchelon(ncols, p)
+                got = [packed.add_row(row) for row in rows]
+                assert got == [ref.add_row(row) for row in rows], (ncols, p, rank)
+                assert (packed.rank, packed.pivot_cols) == (ref.rank, ref.pivot_cols)
+
+
+def test_packed_echelon_slots_at_the_bound_do_not_carry():
+    # p - 1 everywhere in a full-rank basis maximizes what each step adds
+    p, n = ECHELON_PRIME, 200
+    rows = [[p - 1 if j >= i else p - 1 - i for j in range(n)] for i in range(n)] + [[p - 1] * n]
+    packed, ref = ModularEchelon(n), ColumnEchelon(n)
+    assert [packed.add_row(r) for r in rows] == [ref.add_row(r) for r in rows]
+    assert packed.pivot_cols == ref.pivot_cols
+
+
+def test_packed_echelon_rejects_sizes_where_slots_could_carry():
+    with pytest.raises(ValueError):
+        ModularEchelon(2**13)
+    with pytest.raises(ValueError):
+        ModularEchelon(4, 2**25 + 1)
+    assert ModularEchelon(2**13 - 1).rank == 0
 
 
 def test_echelon_prime_is_the_largest_below_2_25():

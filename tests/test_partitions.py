@@ -13,8 +13,10 @@ from kerovlab.partitions import (
     mult_factorial,
     multiplicities,
     parse_partition,
+    partition_count,
     series_coefficients,
     u_factor,
+    unrank_partition,
     z_factor,
 )
 
@@ -92,6 +94,16 @@ def test_enumeration_order_matches_the_recursive_generator():
             assert enumerate_partitions(n, min_part) == list(
                 reference_partitions(n, min_part, n)
             ), (n, min_part)
+
+
+def test_unranking_reproduces_the_enumeration_order():
+    for n in range(21):
+        assert partition_count(n) == len(enumerate_partitions(n)), n
+        assert [unrank_partition(n, i) for i in range(partition_count(n))] == enumerate_partitions(n), n
+    assert partition_count(30) == pentagonal_p(30)[30]
+    for bad in (-1, partition_count(7)):
+        with pytest.raises(IndexError):
+            unrank_partition(7, bad)
 
 
 def test_enumeration_counts_match_pentagonal_recurrence():
