@@ -1,16 +1,15 @@
 """Young diagram -> interlacing sequences -> free cumulants, exactly.
 
 The diagram's boundary gives interlacing integer sequences (x, y) with
-center 0: the contents of its addable and of its removable corners.  For
-G(z) = prod(z - y_i) / prod(z - x_j), log(z G(z)) = sum_k L_k z^-k / k with
-L_k = p_k(x) - p_k(y), and Lagrange inversion (Biane, Characters of
-symmetric groups and free cumulants, LNM 1815, 2003) gives the free
-cumulants from these corner power sums: R_n = -(1/(n-1)) [u^n] M(u)^(1-n)
-for the moment series M(u) = exp(sum_k L_k u^k / k).  Everything is integer
-arithmetic, and the kernel works on a block of diagrams at once: each
-quantity is a column, one int per diagram, so the Python-level work is paid
-once per block.  The moment series itself (_moment_series) now serves only
-resolvent_series.
+center 0: the contents of its addable and of its removable corners.  The
+resolvent is G(z) = prod(z - y_i) / prod(z - x_j), and with u = 1/z its
+moment series is M(u) = G/u = prod(1 - y_i u) / prod(1 - x_j u).  Lagrange
+inversion (Biane, Characters of symmetric groups and free cumulants, LNM
+1815, 2003) gives the free cumulants R_n = -(1/(n-1)) [u^n] M(u)^(1-n), read
+here off the powers of the integer series P = 1/M.  Both series come from
+one routine (_ratio_series).  Everything is integer arithmetic, and the
+kernel works on a block of diagrams at once: each quantity is a column, one
+int per diagram, so the Python-level work is paid once per block.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
-from math import comb, factorial
-from operator import floordiv, mul, sub
+from math import comb
+from operator import add, floordiv, mul, sub
 
 from .partitions import Partition
 
@@ -73,37 +72,34 @@ def diagram_to_interlacing(lam: Partition) -> InterlacingPair:
     return InterlacingPair(tuple(sorted(x)), tuple(sorted(y)))
 
 
-def _moment_series(pair: InterlacingPair, order: int) -> list[int]:
-    """Coefficients m_0..m_order of G(z) = sum m_j z^{-j-1}.
-
-    With u = 1/z, G/u = prod(1 - y_i u) / prod(1 - x_j u); the denominator has
-    constant term 1, so plain power-series division stays in the integers.
-    """
-    num = [1]
-    for yy in pair.y:
-        num = [num[i] - (yy * num[i - 1] if i else 0) for i in range(len(num))] + [-yy * num[-1]]
-    den = [1]
-    for xx in pair.x:
-        den = [den[i] - (xx * den[i - 1] if i else 0) for i in range(len(den))] + [-xx * den[-1]]
-    m = []
-    for k in range(order + 1):
-        val = num[k] if k < len(num) else 0
-        for j in range(1, min(k, len(den) - 1) + 1):
-            val -= den[j] * m[k - j]
-        m.append(val)
-    return m
+def _ratio_series(tops: list[list[int]], bottoms: list[list[int]], order: int,
+                  width: int) -> list[list[int]]:
+    """Columns c_0..c_order of prod_t (1 - t u) / prod_b (1 - b u) over a block
+    of width diagrams: tops and bottoms hold one column per factor, one int
+    per diagram, and a 0 entry is the factor 1.  Each 1 - b u has constant
+    term 1, so the division stays in the integers."""
+    c = [[1] * width] + [[0] * width] * order
+    for d, t in enumerate(tops, 1):  # the product so far has degree d - 1
+        for i in range(min(d, order), 0, -1):
+            c[i] = list(map(sub, c[i], map(mul, t, c[i - 1])))
+    for b in bottoms:
+        for i in range(1, order + 1):
+            c[i] = list(map(add, c[i], map(mul, b, c[i - 1])))
+    return c
 
 
 def resolvent_series(pair: InterlacingPair, order: int) -> list[Fraction]:
-    """Moment coefficients (m_0=1, m_1, ..., m_order) of the resolvent."""
+    """Moment coefficients (m_0=1, m_1, ..., m_order) of the resolvent
+    G(z) = sum m_j z^{-j-1}, from G/u = prod(1 - y_i u) / prod(1 - x_j u)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return [Fraction(v) for v in _moment_series(pair, order)]
+    m = _ratio_series([[v] for v in pair.y], [[v] for v in pair.x], order, 1)
+    return [Fraction(col[0]) for col in m]
 
 
 def _columns(seqs: list[list[int]]) -> list[list[int]]:
     """The sequences zero-padded to one length, as columns: entry i of
-    column t is seqs[i][t].  Zeros leave every power sum p_k, k >= 1, as it is."""
+    column t is seqs[i][t].  A padding 0 is a factor 1 - 0u = 1 of M and 1/M."""
     width = max(map(len, seqs))
     return list(map(list, zip(*(s + [0] * (width - len(s)) for s in seqs))))
 
@@ -112,44 +108,31 @@ def _cumulant_list(lams: list[Partition], k_max: int) -> list[list[int]]:
     """Columns R_0..R_{k_max} of the free cumulants of a block of diagrams:
     column k holds R_k of each diagram, in the order of lams.
 
-    With a_k = (k-1)! L_k, h_{n,j} = n! [u^n] l(u)^j / j! for
-    l(u) = sum_k L_k u^k / k satisfies h_{0,0} = 1 and
-    h_{n,j} = (1/j) sum_k C(n,k) a_k h_{n-k,j-1}, and expanding
-    M^(1-n) = exp((1-n) l) gives
-    R_n = (1/n!) sum_j (-1)^(j+1) (n-1)^(j-1) h_{n,j}; both divisions are
-    exact.  R_1 = L_1 is the center; it must vanish, and then every a_1 term
-    drops out, so h_{n,j} = 0 unless n >= 2j.
+    P = 1/M = prod_j (1 - x_j u) / prod_i (1 - y_i u) = 1 + sum_i p_i u^i, so
+    M^(1-n) = P^(n-1) = sum_j C(n-1, j) (P - 1)^j and
+    R_n = -(1/(n-1)) sum_j C(n-1, j) T_{n,j}, an exact division, where
+    T_{n,j} = [u^n] (P - 1)^j has T_{n,1} = p_n and
+    T_{n,j} = sum_{i>=2} p_i T_{n-i,j-1}.  R_1 = -p_1 is the center; it must
+    vanish, and then T_{n,j} = 0 unless n >= 2j.
     """
     if not lams:
         return [[] for _ in range(k_max + 1)]
     xs, ys = zip(*map(_corners, lams))
-    xs, ys = _columns(xs), _columns(ys)
-    px, py = xs, ys  # columns of x^k and y^k, corner by corner
-    power_sums = [None]  # L_1, L_2, ... from index 1
-    for k in range(1, k_max + 1):
-        if k > 1:
-            px = [list(map(mul, p, c)) for p, c in zip(px, xs)]
-            py = [list(map(mul, p, c)) for p, c in zip(py, ys)]
-        power_sums.append(list(map(sub, map(sum, zip(*px)), map(sum, zip(*py)))))
-    centers = power_sums[1]
-    if any(centers):
-        i = next(i for i, v in enumerate(centers) if v)
-        raise RuntimeError(f"diagram {lams[i]} is not centered: R_1 = {centers[i]}")
+    p = _ratio_series(_columns(xs), _columns(ys), k_max, len(lams))
+    if any(p[1]):
+        i = next(i for i, v in enumerate(p[1]) if v)
+        raise RuntimeError(f"diagram {lams[i]} is not centered: R_1 = {-p[1][i]}")
     zero = [0] * len(lams)
-    a = [None, None] + [list(map(mul, power_sums[k], repeat(factorial(k - 1))))
-                        for k in range(2, k_max + 1)]
-    h: dict[tuple[int, int], list[int]] = {}
+    t: dict[tuple[int, int], list[int]] = {}
     cols = [zero, zero]
     for n in range(2, k_max + 1):
-        scaled = [None, None] + [list(map(mul, a[k], repeat(comb(n, k)))) for k in range(2, n - 1)]
-        terms = [a[n]]  # the j-th holds (-1)^(j+1) (n-1)^(j-1) h_{n,j}
-        h[n, 1] = a[n]
+        t[n, 1] = p[n]
+        terms = [map(mul, p[n], repeat(n - 1))]  # the j-th holds C(n-1, j) T_{n,j}
         for j in range(2, n // 2 + 1):
-            col = map(sum, zip(*[map(mul, scaled[k], h[n - k, j - 1])
-                                 for k in range(2, n - 2 * j + 3)]))
-            col = h[n, j] = list(map(floordiv, col, repeat(j)))
-            terms.append(map(mul, col, repeat((-1) ** (j + 1) * (n - 1) ** (j - 1))))
-        cols.append(list(map(floordiv, map(sum, zip(*terms)), repeat(factorial(n)))))
+            col = t[n, j] = list(map(sum, zip(*[map(mul, p[i], t[n - i, j - 1])
+                                                for i in range(2, n - 2 * j + 3)])))
+            terms.append(map(mul, col, repeat(comb(n - 1, j))))
+        cols.append(list(map(floordiv, map(sum, zip(*terms)), repeat(1 - n))))
     return cols
 
 

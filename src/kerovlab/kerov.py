@@ -172,12 +172,9 @@ def _cores(r: int) -> Counter:
     return Counter(_core(mu) for mu in kerov_support(r))
 
 
-# nu -> L_nu = prod L_{nu_i} in the R_i (a suffix product), where L_n = n [u^n] log M(u)
-# for the moment series M; Lagrange inversion of M = 1 + sum R_s (uM)^s gives
+# L_n = n [u^n] log M(u) for the moment series M; Lagrange inversion of
+# M = 1 + sum R_s (uM)^s gives
 # L_n = sum over mu |- n with parts >= 2 of n! / ((n - l(mu))! prod m_i(mu)!) R_mu.
-_log_moments: dict[tuple[str, Partition], Expansion] = {}
-
-
 def _log_moment(n: int) -> Expansion:
     return 1, {mu: factorial(n) // (factorial(n - len(mu)) * mult_factorial(mu))
                for mu in enumerate_partitions(n, 2)}
@@ -210,11 +207,12 @@ def _closed_form(r: int) -> dict[Partition, Fraction]:
         return got
 
     scale, out = factorial(top), {}  # z_nu divides |nu|!, hence (r+1)!
+    log_moments = {}  # nu -> L_nu = prod L_{nu_i} in the R_i, by suffix; freed on return
     for w in range(top + 1):
         for nu in enumerate_partitions(w, 2):
             coef = (-1) ** (len(nu) + 1) * (scale // z_factor(nu)) * product(nu)[top - w]
             if coef:
-                _, monomial = _product_expansion(_log_moments, "L", nu, _log_moment)
+                _, monomial = _product_expansion(log_moments, "L", nu, _log_moment)
                 _free_mul({(): coef}, monomial, out)
     return {mu: Fraction(v, r * scale) for mu, v in out.items()}
 

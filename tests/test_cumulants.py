@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import repeat
+from math import comb, factorial
+from operator import floordiv, mul, sub
 
 import pytest
 
@@ -13,7 +15,7 @@ from kerovlab.cumulants import (
     q_values,
     resolvent_series,
 )
-from kerovlab.partitions import conjugate, enumerate_partitions
+from kerovlab.partitions import conjugate, enumerate_partitions, partition_count, unrank_partition
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -48,6 +50,41 @@ def full_order_cumulants(m):
     for n in range(1, order + 1):
         r[n] = m[n] - sum(r[s] * powers[s][n - s] for s in range(1, n))
     return r
+
+
+def egf_cumulant_list(lams, k_max):
+    """The block kernel by the exponential route, kept as the reference: from
+    the corner power sums L_k = p_k(x) - p_k(y), a_k = (k-1)! L_k and
+    h_{n,j} = n! [u^n] l(u)^j / j! for l(u) = sum_k L_k u^k / k satisfy
+    h_{n,j} = (1/j) sum_k C(n,k) a_k h_{n-k,j-1}, and expanding
+    M^(1-n) = exp((1-n) l) gives R_n = (1/n!) sum_j (-1)^(j+1) (n-1)^(j-1) h_{n,j}.
+    Centered diagrams only (L_1 = 0)."""
+    xs, ys = zip(*map(cumulants._corners, lams))
+    xs, ys = cumulants._columns(xs), cumulants._columns(ys)
+    px, py = xs, ys
+    power_sums = [None]
+    for k in range(1, k_max + 1):
+        if k > 1:
+            px = [list(map(mul, p, c)) for p, c in zip(px, xs)]
+            py = [list(map(mul, p, c)) for p, c in zip(py, ys)]
+        power_sums.append(list(map(sub, map(sum, zip(*px)), map(sum, zip(*py)))))
+    assert not any(power_sums[1])
+    zero = [0] * len(lams)
+    a = [None, None] + [list(map(mul, power_sums[k], repeat(factorial(k - 1))))
+                        for k in range(2, k_max + 1)]
+    h = {}
+    cols = [zero, zero]
+    for n in range(2, k_max + 1):
+        scaled = [None, None] + [list(map(mul, a[k], repeat(comb(n, k)))) for k in range(2, n - 1)]
+        terms = [a[n]]
+        h[n, 1] = a[n]
+        for j in range(2, n // 2 + 1):
+            col = map(sum, zip(*[map(mul, scaled[k], h[n - k, j - 1])
+                                 for k in range(2, n - 2 * j + 3)]))
+            col = h[n, j] = list(map(floordiv, col, repeat(j)))
+            terms.append(map(mul, col, repeat((-1) ** (j + 1) * (n - 1) ** (j - 1))))
+        cols.append(list(map(floordiv, map(sum, zip(*terms)), repeat(factorial(n)))))
+    return cols
 
 
 def set_partitions(n):
@@ -230,8 +267,8 @@ def test_truncated_inversion_matches_full_order():
     # zero padding is exercised; blocks of one are the free_cumulants path
     for n in range(1, 15):
         lams = enumerate_partitions(n)
-        want = [full_order_cumulants(cumulants._moment_series(diagram_to_interlacing(lam), 20))
-                for lam in lams]
+        moments = [resolvent_series(diagram_to_interlacing(lam), 20) for lam in lams]
+        want = [full_order_cumulants(list(map(int, m))) for m in moments]
         for order in range(2, 21):
             cols = cumulants._cumulant_list(lams, order)
             assert len(cols) == order + 1, (n, order)
@@ -239,6 +276,28 @@ def test_truncated_inversion_matches_full_order():
         for lam, w in zip(lams, want):
             for order in (2, 20):
                 assert [col[0] for col in cumulants._cumulant_list([lam], order)] == w[: order + 1]
+
+
+def test_block_kernel_matches_egf_reference():
+    # seeded blocks at certificate size (weights 16..40, k_max 17..41), drawn
+    # uniformly by rank; each block mixes corner counts, so the zero padding
+    # is exercised, and its first diagrams also go through as blocks of one
+    rng = random.Random(2454)
+    for _ in range(12):
+        k_max = rng.randint(17, 41)
+        weights = [rng.randint(16, 40) for _ in range(rng.randint(2, 30))]
+        lams = [unrank_partition(n, rng.randrange(partition_count(n))) for n in weights]
+        lams.append((1,) * rng.randint(16, 40))
+        assert len({len(cumulants._corners(lam)[1]) for lam in lams}) > 1
+        want = egf_cumulant_list(lams, k_max)
+        assert cumulants._cumulant_list(lams, k_max) == want, k_max
+        for i, lam in enumerate(lams[:3]):
+            assert cumulants._cumulant_list([lam], k_max) == [[col[i]] for col in want]
+            assert free_cumulants(lam, k_max) == {k: want[k][i] for k in range(2, k_max + 1)}
+    # k_max below the number of corners truncates the product of the x factors
+    lams = [(8, 7, 6, 5, 4, 3, 2, 1), (12, 10, 8, 6, 4, 2), (5, 4, 3, 2, 1), (9,)]
+    for k_max in range(2, 10):
+        assert cumulants._cumulant_list(lams, k_max) == egf_cumulant_list(lams, k_max), k_max
 
 
 def test_uncentered_cumulants_are_an_error(monkeypatch):
