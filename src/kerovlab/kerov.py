@@ -57,6 +57,10 @@ FAMILIES = ("R", "C", "Q")
 CACHE_FORMAT_VERSION = 1
 CACHE_ENV_VAR = "KEROVLAB_CACHE"
 
+# the most diagrams whose rows are built at once in compute_kerov; no block at
+# r <= 25 is split, nor the 300-diagram re-check
+ROW_CHUNK = 512
+
 
 class KerovComputationError(RuntimeError):
     """K_r failed its certificate against the character oracle."""
@@ -261,8 +265,9 @@ def compute_kerov(r: int) -> KerovPolynomial:
     forces d_g(n) = 0 for the live cores, so D = 0 after the longest chain.
     A seeded 300 of the other diagrams are checked too, as one block, and
     ten held out.  Rows are built a block at a time, each block as long as
-    the rank still missing, so the rows and pivots are those of adding the
-    diagrams one by one.  No weight is enumerated: the blocks, the re-check
+    the rank still missing and built in chunks of at most ROW_CHUNK
+    diagrams, so the rows and pivots are those of adding the diagrams one
+    by one.  No weight is enumerated: the blocks, the re-check
     and the held-out picks are unranked from a lazy view of the diagrams.
     """
     if r < 2:
@@ -280,8 +285,11 @@ def compute_kerov(r: int) -> KerovPolynomial:
     f_values: dict[int, list[int]] = {}  # n -> f_g(n) for every core
 
     def rows_of(block: list[Partition]):
-        """The core row of each diagram of the block."""
-        return zip(*_evaluation_row(cores, _cumulant_list(block, r + 1)))
+        """The core row of each diagram of the block, built ROW_CHUNK diagrams
+        at a time."""
+        for i in range(0, len(block), ROW_CHUNK):
+            chunk = block[i:i + ROW_CHUNK]
+            yield from zip(*_evaluation_row(cores, _cumulant_list(chunk, r + 1)))
 
     def check(lam: Partition, row: list[int]) -> None:
         n = sum(lam)

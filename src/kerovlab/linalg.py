@@ -4,15 +4,16 @@
   never exceeds the rational rank, so full rank mod p certifies full rank.
   Rows are packed into ints, an entry per 64-bit slot; ncols >= 2^13 or
   p >= 2^25, where a slot could carry, raise ValueError.
+* FractionEchelon -- the one rational elimination: a labelled echelon over Q
+  kept on fraction-free integer rows, for extraction; inconsistent rows are
+  recorded, not raised, and Fractions appear only in the back-substitution.
+  solve_bareiss solves a nonsingular square system on it.
 * solve_exact / solve_crt -- multi-prime solving with Chinese remaindering,
   each prime's solve run on a ModularEchelon of the augmented rows, and
   accepted only after an exact integer check of every equation.
-  solve_bareiss is a fraction-free reference.
-* FractionEchelon -- labelled echelon over Q for extraction; inconsistent
-  rows are recorded, not raised.
 
-K_r needs no solve, so the solvers have no program caller; the tests and the
-benchmark's layer list still use them.
+K_r needs no solve, so only extraction calls an elimination over Q; the CRT
+path and solve_bareiss are kept for the tests and the benchmark's layer list.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import sys
 from array import array
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+
+from .symfunc import _numerators
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -117,33 +120,13 @@ def _unpack(v: int, ncols: int) -> array:
 
 
 def solve_bareiss(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Solve a nonsingular square integer system by fraction-free elimination."""
-    n = len(rows)
-    m = [list(map(int, r)) + [int(b)] for r, b in zip(rows, rhs)]
-    prev = 1
-    for k in range(n):
-        piv = None
-        best = None
-        for i in range(k, n):
-            v = m[i][k]
-            if v and (best is None or abs(v) < best):
-                piv, best = i, abs(v)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            ri, rk = m[i], m[k]
-            for j in range(k + 1, n + 1):
-                ri[j] = (pkk * ri[j] - mik * rk[j]) // prev
-            ri[k] = 0
-        prev = pkk
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = Fraction(s, m[i][i])
+    """Solve a nonsingular square system exactly on a FractionEchelon."""
+    ech = FractionEchelon(len(rows))
+    for row, b in zip(rows, rhs):
+        ech.add_row(row, b, None)
+    x = ech.solution()
+    if x is None:
+        raise ValueError("matrix is singular")
     return x
 
 
@@ -238,14 +221,17 @@ def solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
 class FractionEchelon:
     """Incremental echelon over Q for labeled, possibly inconsistent systems.
 
-    Rows that reduce to 0 = nonzero are recorded as conflicts under their
-    label instead of raising; rank-deficient systems report no solution.
+    Rows stay fraction-free: a row and its rhs are scaled to integers over one
+    denominator, reduced against each basis row in turn by cross-multiplying,
+    so its entry at that row's pivot vanishes, and stored divided by the gcd
+    of its entries, rhs last.  Basis row k is 0 at the earlier pivots.  Rows
+    that reduce to 0 = nonzero are recorded as conflicts under their label
+    instead of raising; rank-deficient systems report no solution.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.b: list[Fraction] = []
+        self.rows: list[list[int]] = []  # each with its rhs appended
         self.pivot_cols: list[int] = []
         self.conflicts: list = []
 
@@ -254,33 +240,31 @@ class FractionEchelon:
         return len(self.rows)
 
     def add_row(self, coeffs, rhs, label) -> None:
-        row = [Fraction(c) for c in coeffs]
-        val = Fraction(rhs)
-        for col, basis, bb in zip(self.pivot_cols, self.rows, self.b):
-            f = row[col]
+        """Add a row of ints or Fractions and its rhs."""
+        _, v = _numerators([*coeffs, rhs])
+        for col, basis in zip(self.pivot_cols, self.rows):
+            f = v[col]
             if f:
-                row = [a - f * c for a, c in zip(row, basis)]
-                val -= f * bb
-        for col, a in enumerate(row):
-            if a:
-                inv = 1 / a
-                self.rows.append([c * inv for c in row])
-                self.b.append(val * inv)
-                self.pivot_cols.append(col)
-                return
-        if val:
-            self.conflicts.append(label)
+                p = basis[col]
+                g = gcd(f, p)
+                f, p = f // g, p // g
+                v = [p * a - f * c for a, c in zip(v, basis)]
+        g = gcd(*v[:-1])
+        if not g:
+            if v[-1]:
+                self.conflicts.append(label)
+            return
+        g = gcd(g, v[-1])
+        self.rows.append([a // g for a in v])
+        self.pivot_cols.append(next(j for j, a in enumerate(v) if a))
 
     def solution(self) -> list[Fraction] | None:
         """Unique solution if the pivots cover every column, else None."""
         if self.rank != self.ncols:
             return None
-        x: list[Fraction | None] = [None] * self.ncols
-        for i in range(self.rank - 1, -1, -1):
-            col = self.pivot_cols[i]
-            s = self.b[i]
-            for j, c in enumerate(self.rows[i]):
-                if c and j != col:
-                    s -= c * x[j]  # later pivots are already resolved
-            x[col] = s
-        return x  # type: ignore[return-value]
+        x: list[Fraction] = [Fraction(0)] * self.ncols
+        for col, row in zip(reversed(self.pivot_cols), reversed(self.rows)):
+            # the row is 0 at earlier pivots, and later ones are resolved
+            s = row[-1] - sum(c * x[j] for j, c in enumerate(row[:-1]) if c and j != col)
+            x[col] = Fraction(s) / row[col]
+        return x

@@ -215,6 +215,10 @@ def test_held_out_check_catches_a_wrong_polynomial():
 
 @pytest.fixture(scope="module")
 def certificates():
+    return certificate_traces()
+
+
+def certificate_traces():
     """For r = 2..16: rows sent to each weight's echelon, the diagrams checked
     against the character in order (pivots, then the re-check) and the ten
     held-out picks."""
@@ -287,6 +291,22 @@ def test_certificate_diagrams_are_pinned(certificates):
     assert sum(certificates[16][0]) == 172
     for r, (rows, checked, [picks]) in certificates.items():
         assert (rows, len(checked), digest(checked), digest(picks)) == PINNED_CERTIFICATES[r], r
+
+
+def test_row_chunks_keep_the_pinned_certificates(monkeypatch, certificates):
+    # rows built 7 diagrams at a time split the larger blocks and the
+    # re-check, and send, check and hold out the same diagrams in order
+    sizes = []
+    real = kerov._evaluation_row
+
+    def recording(monomials, cols):
+        sizes.append(len(cols[0]))
+        return real(monomials, cols)
+
+    monkeypatch.setattr(kerov, "ROW_CHUNK", 7)
+    monkeypatch.setattr(kerov, "_evaluation_row", recording)
+    assert certificate_traces() == certificates
+    assert max(sizes) == 7 and sizes.count(7) > 100
 
 
 def test_certificate_enumerates_no_certified_weight(monkeypatch):

@@ -20,6 +20,8 @@ from kerovlab.linalg import (
     solve_exact,
     word_primes,
 )
+from kerovlab.partitions import enumerate_partitions
+from kerovlab.symfunc import monomial_value
 
 
 def fraction_ge_solve(rows, rhs):
@@ -267,6 +269,121 @@ def test_fraction_echelon_rank_deficient_without_conflict():
     ech.add_row([0, 1, 1], 1, "b")
     assert ech.rank == 2 and not ech.conflicts
     assert ech.solution() is None
+
+
+class FractionReference:
+    """The Fraction-based echelon the fraction-free one replaced, kept as
+    reference: each basis row is scaled to 1 at its pivot, and a new row is
+    reduced by subtracting multiples of the basis rows in Fractions."""
+
+    def __init__(self, ncols):
+        self.ncols, self.rows, self.b, self.pivot_cols, self.conflicts = ncols, [], [], [], []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def add_row(self, coeffs, rhs, label):
+        row, val = [Fraction(c) for c in coeffs], Fraction(rhs)
+        for col, basis, bb in zip(self.pivot_cols, self.rows, self.b):
+            f = row[col]
+            if f:
+                row = [a - f * c for a, c in zip(row, basis)]
+                val -= f * bb
+        for col, a in enumerate(row):
+            if a:
+                self.rows.append([c / a for c in row])
+                self.b.append(val / a)
+                self.pivot_cols.append(col)
+                return
+        if val:
+            self.conflicts.append(label)
+
+    def solution(self):
+        if self.rank != self.ncols:
+            return None
+        x = [None] * self.ncols
+        for i in range(self.rank - 1, -1, -1):
+            s = self.b[i]
+            for j, c in enumerate(self.rows[i]):
+                if c and j != self.pivot_cols[i]:
+                    s -= c * x[j]
+            x[self.pivot_cols[i]] = s
+        return x
+
+
+def seeded_labeled_system(rng):
+    """Rows of rank at most `rank` with int or Fraction entries, repeated and
+    all-zero rows, and a rhs that is consistent, perturbed or random."""
+    ncols, rank = rng.randint(1, 7), rng.randint(0, 7)
+    entry = rng.choice([lambda: rng.randint(-9, 9), lambda: rng.randint(-(10**12), 10**12),
+                        lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 12))])
+    basis = [[entry() * rng.randint(0, 1) for _ in range(ncols)] for _ in range(rank)]
+    x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(ncols)]
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.1:
+            row = [0] * ncols
+        elif kind < 0.2 and rows:
+            row = list(rng.choice(rows)[0])
+        elif basis:
+            terms = [(rng.randint(-3, 3), b) for b in rng.sample(basis, min(3, rank))]
+            row = [sum(c * b[j] for c, b in terms) for j in range(ncols)]
+        else:
+            row = [entry() for _ in range(ncols)]
+        b = sum(c * v for c, v in zip(row, x))
+        mode = rng.random()
+        if mode < 0.15:
+            b += rng.randint(1, 3)
+        elif mode < 0.3:
+            b = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        rows.append((row, b))
+    return ncols, rows
+
+
+def test_fraction_echelon_matches_the_fraction_reference():
+    # rank, pivots, conflicts in row order and the solution, on seeded systems
+    # with dependent rows, inconsistent rhs, Fraction entries and zero rows
+    rng = random.Random(26)
+    kinds = set()
+    for trial in range(2000):
+        ncols, rows = seeded_labeled_system(rng)
+        ech, ref = FractionEchelon(ncols), FractionReference(ncols)
+        for i, (row, b) in enumerate(rows):
+            ech.add_row(row, b, i)
+            ref.add_row(row, b, i)
+        got = (ech.rank, ech.pivot_cols, ech.conflicts, ech.solution())
+        assert got == (ref.rank, ref.pivot_cols, ref.conflicts, ref.solution()), trial
+        kinds.add((bool(ech.conflicts), ech.rank == ncols))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_fraction_echelon_f4_shaped_rows_reach_the_mod_p_ranks():
+    # f_4's rows: m_rho(mu) for rho of weight 0..12 (272 unknowns) and mu of
+    # weight r - 7 with parts >= 2, against a random rhs; rank 77 at r <= 19
+    # and 201 at r <= 23, the ranks mod p
+    unknowns = [rho for d in range(13) for rho in enumerate_partitions(d)]
+    rng = random.Random(4)
+    ech = FractionEchelon(len(unknowns))
+    ranks = {}
+    for r in range(7, 24):
+        for mu in enumerate_partitions(r - 7):
+            if 1 not in mu:
+                ech.add_row([monomial_value(rho, mu) for rho in unknowns], rng.randint(-99, 99), (r, mu))
+        ranks[r] = ech.rank
+    assert (len(unknowns), ranks[19], ranks[23]) == (272, 77, 201)
+
+
+def test_solve_bareiss_raises_on_singular_or_inconsistent_systems():
+    with pytest.raises(ValueError):
+        solve_bareiss([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [1, 2, 3])  # consistent, rank 2
+    with pytest.raises(ValueError):
+        solve_bareiss([[1, 2], [2, 4]], [1, 3])  # inconsistent
+    with pytest.raises(ValueError):
+        solve_bareiss([[0, 0], [0, 0]], [0, 0])
+    assert solve_bareiss([[0, 2], [3, 0]], [Fraction(1, 2), 6]) == [2, Fraction(1, 4)]
+    assert solve_bareiss([], []) == []
 
 
 def test_echelon_and_solve_never_import_numpy():
