@@ -3,7 +3,7 @@
 JSON goes to stdout, human-readable summaries to stderr.  Exit codes: 0 all
 checks pass, 1 a mathematical finding (mismatch, negativity, inconsistent
 extraction), 2 usage or internal error.  Identical invocations produce
-byte-identical JSON; the K_r disk cache (--cache-dir or KEROVLAB_CACHE) is
+byte-identical JSON; the K_r disk cache, set by --cache-dir alone, is
 transparent to results.
 """
 
@@ -24,7 +24,7 @@ from .conjectures import (
     selftest,
 )
 from .cumulants import free_cumulants
-from .kerov import CACHE_ENV_VAR, KerovProvider, change_generators, graded_component
+from .kerov import KerovProvider, change_generators, graded_component
 from .partitions import format_rational, parse_partition
 
 EXIT_OK = 0
@@ -40,23 +40,18 @@ def _say(msg: str) -> None:
     sys.stderr.write(f"[kerovlab] {msg}\n")
 
 
-def _provider(args) -> KerovProvider:
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV_VAR) or None
-    return KerovProvider(cache_dir=cache_dir)
-
-
 def _jobs(args) -> int:
     jobs = getattr(args, "jobs", None)
     return jobs if jobs else (os.cpu_count() or 1)
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--cache-dir", help="directory for the K_r cache (or set KEROVLAB_CACHE)")
+    sub.add_argument("--cache-dir", help="directory for the K_r cache (default: no disk cache)")
     sub.add_argument("--jobs", type=int, help="parallel workers (default: available cores)")
 
 
 def cmd_kerov(args) -> int:
-    provider = _provider(args)
+    provider = KerovProvider(cache_dir=args.cache_dir)
     kp = provider.get(args.r)
     poly = graded_component(kp, args.component) if args.component is not None else kp.poly
     poly = change_generators(poly, args.basis)
@@ -111,7 +106,7 @@ def cmd_character(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    provider = _provider(args)
+    provider = KerovProvider(cache_dir=args.cache_dir)
     # only r >= 2k - 1 has a weight r - 2k + 1 component to read
     provider.precompute(range(max(args.r_min, 2 * args.k - 1), args.r_max + 1), jobs=_jobs(args))
     report = extract_symfunc(args.family, args.k, (args.r_min, args.r_max), provider)
@@ -126,8 +121,11 @@ def cmd_extract(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    provider = _provider(args)
-    provider.precompute(SUITES[args.suite].r_values(args.r_max), jobs=_jobs(args))
+    suite = SUITES[args.suite]
+    if suite.top_for(args.r_max) < suite.first:  # no r to check: it would pass vacuously
+        raise ValueError(f"--r-max must be >= {suite.first} for suite {args.suite}")
+    provider = KerovProvider(cache_dir=args.cache_dir)
+    provider.precompute(suite.r_values(args.r_max), jobs=_jobs(args))
     report = run_suite(args.suite, provider, r_max=args.r_max)
     _dump(report.to_json_dict())
     _say(f"suite {args.suite}: {'PASS' if report.ok else 'FAIL'}")
@@ -137,7 +135,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    provider = _provider(args)
+    provider = KerovProvider(cache_dir=args.cache_dir)
     reports = selftest(provider)
     _dump([r.to_json_dict() for r in reports])
     ok = True

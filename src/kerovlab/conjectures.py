@@ -46,6 +46,7 @@ from .partitions import (
     parse_partition,
     power_sum_value,
     series_coefficients,
+    triple_sums,
     z_factor,
 )
 from .symfunc import SymFunc, _numerators, monomial_value
@@ -275,10 +276,7 @@ class TableVerification(NamedTuple):
         return {
             "kind": self.kind,
             "ok": self.ok,
-            "checks": [
-                {"r": c.r, "ok": c.ok, "first_mismatch": c.first_mismatch}
-                for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 
@@ -355,15 +353,7 @@ def _eee_sum(n: int, weight: str = "1") -> SymFunc:
 
     weight "1" takes w = 1 and weight "i2" takes w(i) = i^2.
     """
-    terms: dict[Partition, int] = {}
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            k = n - i - j
-            mu = tuple(sorted((v for v in (i, j, k) if v), reverse=True))
-            w = i * i if weight == "i2" else 1
-            if w:
-                terms[mu] = terms.get(mu, 0) + w
-    return SymFunc("e", terms)
+    return SymFunc("e", triple_sums(n, (lambda i: i * i) if weight == "i2" else (lambda i: 1)))
 
 
 def lemma_triple_e_in_p(n: int) -> tuple[SymFunc, SymFunc]:
@@ -413,12 +403,7 @@ class SuiteReport(NamedTuple):
     detail: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "ok": self.ok,
-            "findings": self.findings,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
 def _suite_conj_table(kind: str):

@@ -37,7 +37,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .characters import normalized_character
-from .cumulants import _cumulant_list
+from .cumulants import _cumulant_list, _ratio_series
 from .linalg import ModularEchelon
 from .partitions import (
     Partition,
@@ -46,6 +46,7 @@ from .partitions import (
     partition_count,
     power_sum_value,
     series_coefficients,
+    triple_sums,
     unrank_partition,
     z_factor,
 )
@@ -55,7 +56,6 @@ from .symfunc import (Expansion, SparseTerms, _expand, _free_mul, _numerators, _
 FAMILIES = ("R", "C", "Q")
 
 CACHE_FORMAT_VERSION = 1
-CACHE_ENV_VAR = "KEROVLAB_CACHE"
 
 # the most diagrams whose rows are built at once in compute_kerov; no block at
 # r <= 25 is split, nor the 300-diagram re-check
@@ -197,9 +197,7 @@ def _closed_form(r: int) -> dict[Partition, Fraction]:
     """
     top = r + 1
     s = [sum(j**m for j in range(r)) for m in range(top + 1)]
-    c = [1] + [0] * top
-    for j in range(1, r):
-        c = [1] + [a - j * b for a, b in zip(c[1:], c)]
+    c = [col[0] for col in _ratio_series([[j] for j in range(1, r)], [], top, 1)]
     series = {(): c}  # nu -> c(u) prod_i B_{nu_i}(u) / u^|nu|, to degree r + 1 - |nu|
 
     def product(nu: Partition) -> list[int]:
@@ -472,14 +470,8 @@ def triple_sum_bruteforce(a, b, c, n: int) -> CumulantPolynomial:
     weights are summed in integers, with a, b and c over one denominator.
     """
     d, (a, b, c) = _numerators(map(Fraction, (a, b, c)))
-    sums: dict[Partition, int] = {}  # monomial -> d times its summed weight
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            k = n - i - j
-            if 1 not in (i, j, k):
-                mu = tuple(sorted((v for v in (i, j, k) if v), reverse=True))
-                sums[mu] = sums.get(mu, 0) + a + b * i + c * i * i
-    return CumulantPolynomial("C", {mu: Fraction(v, d) for mu, v in sums.items()})
+    sums = triple_sums(n, lambda i: a + b * i + c * i * i)  # d times each summed weight
+    return CumulantPolynomial("C", {mu: Fraction(v, d) for mu, v in sums.items() if 1 not in mu})
 
 
 def weighted_triple_sum(a, b, c, n: int, family: str) -> CumulantPolynomial:
@@ -522,15 +514,13 @@ def _cache_payload(kp: KerovPolynomial) -> dict:
     }
 
 
-def _compute_terms(r: int) -> tuple[int, list[dict]]:
-    return r, _cache_payload(compute_kerov(r))["terms"]
-
-
 class KerovProvider:
     """Caching access to computed K_r, optionally persisted as JSON files.
 
-    Cache files are written once via an atomic rename; partial or
-    version-stale files are ignored and regenerated.
+    `get` and `precompute` end in one keep step: the K_r goes to memory and,
+    with a cache_dir, to disk.  precompute's process pool maps compute_kerov
+    and returns its KerovPolynomials.  Cache files are written once via an
+    atomic rename; partial or version-stale files are ignored and regenerated.
     """
 
     def __init__(self, cache_dir: str | None = None):
@@ -538,38 +528,31 @@ class KerovProvider:
         self._mem: dict[int, KerovPolynomial] = {}
 
     def get(self, r: int) -> KerovPolynomial:
-        kp = self._mem.get(r)
-        if kp is None:
-            kp = self._load_disk(r)
-        if kp is None:
-            kp = compute_kerov(r)
-            self._store_disk(kp)
-        self._mem[r] = kp
-        return kp
+        if r not in self._mem and self._load_disk(r) is None:  # a disk hit is memoized
+            self._keep([compute_kerov(r)])
+        return self._mem[r]
 
     def component(self, r: int, s: int, family: str = "R") -> CumulantPolynomial:
         comp = graded_component(self.get(r), s)
         return change_generators(comp, family)
 
     def precompute(self, rs, jobs: int = 1) -> None:
-        todo = sorted(set(rs) - set(self._mem))
-        todo = [r for r in todo if self._load_disk(r) is None]
-        if not todo:
-            return
+        todo = [r for r in sorted(set(rs)) if r not in self._mem and self._load_disk(r) is None]
         if jobs > 1 and len(todo) > 1:
             try:
                 from concurrent.futures import ProcessPoolExecutor
 
                 with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
-                    for r, terms in pool.map(_compute_terms, todo):
-                        kp = KerovPolynomial(r, CumulantPolynomial.from_terms_json("R", terms))
-                        self._mem[r] = kp
-                        self._store_disk(kp)
+                    self._keep(pool.map(compute_kerov, todo))
                 return
             except (OSError, ImportError):
                 pass  # no process pool available: fall back to sequential
-        for r in todo:
-            self.get(r)
+        self._keep(map(compute_kerov, todo))
+
+    def _keep(self, kps) -> None:
+        for kp in kps:
+            self._mem[kp.r] = kp
+            self._store_disk(kp)
 
     def _cache_path(self, r: int) -> str | None:
         if not self.cache_dir:

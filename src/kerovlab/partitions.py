@@ -175,6 +175,17 @@ def series_coefficients(n: int, min_part: int, phi, weight) -> dict[Partition, F
     }
 
 
+def triple_sums(n: int, weight) -> dict[Partition, int]:
+    """mu -> the sum of weight(i) over (i, j, k) in N^3 with i + j + k = n
+    whose nonzero entries rearrange mu."""
+    sums: dict[Partition, int] = {}
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            mu = tuple(sorted((v for v in (i, j, n - i - j) if v), reverse=True))
+            sums[mu] = sums.get(mu, 0) + weight(i)
+    return sums
+
+
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
     if not lam:

@@ -110,11 +110,16 @@ def test_cache_transparency(capsys, tmp_path):
     assert (tmp_path / "kerov_r5.json").exists()
 
 
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
+def test_environment_does_not_point_at_a_cache(capsys, tmp_path, monkeypatch):
+    # --cache-dir is the one cache setting: a KEROVLAB_CACHE directory holding
+    # a tampered K_5 is not read
+    _, want, _ = run_cli(capsys, "kerov", "--r", "5", "--cache-dir", str(tmp_path), "--jobs", "1")
+    path = tmp_path / "kerov_r5.json"
+    path.write_text(path.read_text().replace('"coef":"15"', '"coef":"16"'))
     monkeypatch.setenv("KEROVLAB_CACHE", str(tmp_path))
-    code, _, _ = run_cli(capsys, "kerov", "--r", "4")
+    code, out, _ = run_cli(capsys, "kerov", "--r", "5", "--jobs", "1")
     assert code == 0
-    assert (tmp_path / "kerov_r4.json").exists()
+    assert '"coef":"15"' in out and out == want
 
 
 def test_stale_cache_recomputed(capsys, tmp_path):
@@ -144,6 +149,26 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("suite, r_max", [
+    ("conj4", 5), ("conj3", 6), ("conj8", 6), ("closed-forms", 2),
+])
+def test_empty_suite_range_is_a_usage_error(capsys, monkeypatch, suite, r_max):
+    # an r-range with nothing to check must not pass vacuously, and no K_r is
+    # computed for it
+    import kerovlab.kerov as kerov
+
+    calls = []
+    real = kerov.compute_kerov
+    monkeypatch.setattr(kerov, "compute_kerov", lambda r: calls.append(r) or real(r))
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", suite, "--r-max", str(r_max), "--jobs", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "usage:" in err
+    assert calls == []
+
+
 def test_negative_component_is_a_usage_error(capsys):
     assert main(["kerov", "--r", "5", "--component", "-1"]) == 2
     out, err = capsys.readouterr()
@@ -169,7 +194,6 @@ def test_selftest_checksum_failure_exits_2(capsys, monkeypatch):
 
 def test_interpolation_failure_exits_2(capsys, monkeypatch, short_echelon):
     # an echelon that stops one pivot short of core rank fails the certificate
-    monkeypatch.delenv("KEROVLAB_CACHE", raising=False)
     code, out, err = run_cli(capsys, "kerov", "--r", "12")
     assert code == 2
     assert out == ""
@@ -190,7 +214,6 @@ def test_failed_solve_exits_2_without_usage(capsys, monkeypatch):
         terms[mu] += 1
         return terms
 
-    monkeypatch.delenv("KEROVLAB_CACHE", raising=False)
     monkeypatch.setattr(kerov, "_closed_form", off_by_one)
     code, out, err = run_cli(capsys, "kerov", "--r", "8")
     assert code == 2

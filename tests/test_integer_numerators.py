@@ -357,7 +357,6 @@ def test_lemmas_reports_a_changed_triple_sum_coefficient(capsys, monkeypatch):
 
 
 def test_kerov_theorem_reports_a_changed_term_of_k5(capsys, monkeypatch):
-    monkeypatch.delenv("KEROVLAB_CACHE", raising=False)
     real_get = KerovProvider.get
 
     def changed_k5(self, r):

@@ -603,8 +603,14 @@ def test_partial_cache_file_is_regenerated(tmp_path):
 
 
 def test_precompute_parallel_matches_sequential(tmp_path):
-    seq = KerovProvider()
-    par = KerovProvider(cache_dir=str(tmp_path))
-    par.precompute([4, 5, 6], jobs=2)
-    for r in (4, 5, 6):
-        assert par.get(r).poly == seq.get(r).poly
+    # the pool returns KerovPolynomials, kept by the same step as a sequential
+    # run: the same polynomials and byte-identical cache files
+    provs, files = {}, {}
+    for jobs in (1, 2):
+        provs[jobs] = KerovProvider(cache_dir=str(tmp_path / str(jobs)))
+        provs[jobs].precompute([4, 5, 6, 7], jobs=jobs)
+        files[jobs] = {p.name: p.read_bytes() for p in (tmp_path / str(jobs)).iterdir()}
+    assert sorted(files[1]) == [f"kerov_r{r}.json" for r in (4, 5, 6, 7)]
+    assert files[2] == files[1]
+    for r in (4, 5, 6, 7):
+        assert provs[2].get(r).poly == provs[1].get(r).poly
