@@ -225,6 +225,11 @@ def main(argv=None) -> int:
         _say(f"error: {exc}")
         sys.stderr.write(parser.format_usage())
         return EXIT_ERROR
+    except Exception:  # a bug, not a finding: exit 1 is kept for findings
+        import traceback  # only this handler needs it
+
+        traceback.print_exc()
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,14 +1,16 @@
 """Embedded coefficient tables and verification of the positivity conjectures.
 
-The shipped CSV tables carry the monomial coefficients of the conjectural
-symmetric functions describing Kerov components uniformly in r: f-family
-tables for the cumulant expansion (kinds c3, c4), the g-family table for the
-Q expansion (kind a3), and the degree-4 closed forms f2 / g2 / F2.  Each file
-is checksummed at load.  Verification compares the components predicted by
-these tables against the components of the computed Kerov polynomials, and
-extraction goes the other way: it solves for the unknown symmetric function
-from computed components and reports rank, consistency and conflicts.  Each
-verification suite is declared once in SUITES, with the r-range it runs.
+Six shipped tables carry the monomial coefficients of the symmetric functions
+describing Kerov components uniformly in r: the conjectural f_3, f_4 (kinds
+c3, c4, cumulant expansion) and g_3 (kind a3, Q expansion), and the proved
+degree-4 closed forms f2 / g2 / F2.  Each is a `<kind>.csv` file of
+`partition;value` lines scaled to integers, and must match the sha256 and
+the scale that checksums.json records for it.  Verification compares the
+components predicted by these tables against the components of the computed
+Kerov polynomials, and extraction goes the other way: it solves for the
+unknown symmetric function from computed components and reports rank,
+consistency and conflicts.  Each verification suite is declared once in
+SUITES, with the r-range it runs.
 """
 
 from __future__ import annotations
@@ -97,39 +99,31 @@ def _checksums() -> dict:
 
 
 def load_table(kind: str) -> PaperTable:
-    """Load and checksum-verify one embedded table."""
-    got = _table_cache.get(kind)
-    if got is not None:
-        return got
+    """Load one embedded table, `<kind>.csv` with one `partition;value` line per entry.
+
+    The file must hash to the sha256 that checksums.json records for it, and
+    the scale recorded next to that sha256 must equal TABLE_SCALES[kind].
+    """
+    if kind in _table_cache:
+        return _table_cache[kind]
     if kind not in TABLE_SCALES:
         raise ValueError(f"unknown table kind {kind!r}")
-    fname = "closed_forms.json" if kind in ("f2", "g2", "F2") else f"{kind}.csv"
+    fname = f"{kind}.csv"
     raw = _read_table_file(fname)
-    want = _checksums()["sha256"][fname]
+    want = _checksums()["tables"][fname]
     import hashlib  # only the checksum needs it, and it is slow to import
 
     have = hashlib.sha256(raw).hexdigest()
-    if have != want:
-        raise ChecksumError(f"{fname}: sha256 {have} != recorded {want}")
-    if fname.endswith(".csv"):
-        entries: dict[Partition, int] = {}
-        for line in raw.decode("utf-8").splitlines():
-            if not line.strip():
-                continue
+    if have != want["sha256"]:
+        raise ChecksumError(f"{fname}: sha256 {have} != recorded {want['sha256']}")
+    if want["scale"] != TABLE_SCALES[kind]:
+        raise ChecksumError(f"{fname}: scale {want['scale']} != expected {TABLE_SCALES[kind]}")
+    entries: dict[Partition, int] = {}
+    for line in raw.decode("utf-8").splitlines():
+        if line.strip():
             part_text, value_text = line.split(";")
             entries[parse_partition(part_text)] = int(value_text)
-        table = PaperTable(kind, TABLE_SCALES[kind], entries)
-        _table_cache[kind] = table
-    else:
-        data = json.loads(raw.decode("utf-8"))
-        for sub, block in data.items():
-            entries = {parse_partition(k): int(v) for k, v in block["entries"].items()}
-            if block["scale"] != TABLE_SCALES[sub]:
-                raise ChecksumError(
-                    f"{fname}: {sub} scale {block['scale']} != expected {TABLE_SCALES[sub]}"
-                )
-            _table_cache[sub] = PaperTable(sub, block["scale"], entries)
-        table = _table_cache[kind]
+    table = _table_cache[kind] = PaperTable(kind, TABLE_SCALES[kind], entries)
     return table
 
 
@@ -468,9 +462,7 @@ def _suite_positivity_family(family: str):
         findings = []
         checked = 0
         for r in range(lo, hi + 1):
-            k = 1
-            while r - 2 * k + 1 >= 0:
-                s = r - 2 * k + 1
+            for s in range(r - 1, -1, -2):
                 comp = provider.component(r, s, family)
                 checked += 1
                 for mu, c in comp.sorted_terms():
@@ -479,7 +471,6 @@ def _suite_positivity_family(family: str):
                             f"K_{{{r},{s}}} has negative {family}-coefficient "
                             f"{format_rational(c)} at {format_partition(mu) or '()'}"
                         )
-                k += 1
         return SuiteReport(
             f"positivity-{family}", not findings, findings, {"r_max": hi, "components": checked}
         )

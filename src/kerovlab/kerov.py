@@ -198,24 +198,20 @@ def _closed_form(r: int) -> dict[Partition, Fraction]:
     top = r + 1
     s = [sum(j**m for j in range(r)) for m in range(top + 1)]
     c = [col[0] for col in _ratio_series([[j] for j in range(1, r)], [], top, 1)]
-    series = {(): c}  # nu -> c(u) prod_i B_{nu_i}(u) / u^|nu|, to degree r + 1 - |nu|
 
-    def product(nu: Partition) -> list[int]:
-        got = series.get(nu)
-        if got is None:
-            rest = product(nu[1:])
-            b = [comb(nu[0] + k - 1, k) * s[k] for k in range(top - sum(nu) + 1)]  # B_n / u^n
-            got = series[nu] = [sum(map(mul, b[: k + 1], rest[k::-1])) for k in range(len(b))]
-        return got
+    def times(n: int, rest: list[int]) -> list[int]:  # (B_n / u^n) rest, to len(rest) - n terms
+        b = [comb(n + k - 1, k) * s[k] for k in range(len(rest) - n)]
+        return [sum(map(mul, b[: k + 1], rest[k::-1])) for k in range(len(b))]
 
+    nus = [nu for w in range(top + 1) for nu in enumerate_partitions(w, 2)]
+    series = _suffix_products(nus, times, c)  # c(u) prod_i B_{nu_i}(u) / u^|nu| to u^(r+1-|nu|)
     scale, out = factorial(top), {}  # z_nu divides |nu|!, hence (r+1)!
     log_moments = {}  # nu -> L_nu = prod L_{nu_i} in the R_i, by suffix; freed on return
-    for w in range(top + 1):
-        for nu in enumerate_partitions(w, 2):
-            coef = (-1) ** (len(nu) + 1) * (scale // z_factor(nu)) * product(nu)[top - w]
-            if coef:
-                _, monomial = _product_expansion(log_moments, "L", nu, _log_moment)
-                _free_mul({(): coef}, monomial, out)
+    for nu, u_series in zip(nus, series):
+        coef = (-1) ** (len(nu) + 1) * (scale // z_factor(nu)) * u_series[-1]
+        if coef:
+            _, monomial = _product_expansion(log_moments, "L", nu, _log_moment)
+            _free_mul({(): coef}, monomial, out)
     return {mu: Fraction(v, r * scale) for mu, v in out.items()}
 
 
@@ -569,8 +565,8 @@ class KerovProvider:
             if data.get("format_version") != CACHE_FORMAT_VERSION or data.get("r") != r:
                 return None
             kp = KerovPolynomial(r, CumulantPolynomial.from_terms_json("R", data["terms"]))
-        except (ValueError, KeyError, OSError):
-            return None  # partial or corrupt file: regenerate
+        except (ValueError, KeyError, TypeError, AttributeError, OSError):
+            return None  # partial, corrupt or wrong-shaped file: regenerate
         self._mem[r] = kp
         return kp
 

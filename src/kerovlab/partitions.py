@@ -134,10 +134,7 @@ def unrank_partition(n: int, index: int) -> Partition:
 
 def z_factor(mu: Partition) -> int:
     """The centralizer order prod_i i^{m_i} * m_i!."""
-    z = 1
-    for i, m in multiplicities(mu).items():
-        z *= i**m * factorial(m)
-    return z
+    return prod(mu) * mult_factorial(mu)
 
 
 def epsilon(mu: Partition) -> int:
@@ -147,10 +144,7 @@ def epsilon(mu: Partition) -> int:
 
 def u_factor(mu: Partition) -> int:
     """Number of distinct rearrangements of mu: l(mu)! / prod_i m_i!."""
-    u = factorial(len(mu))
-    for m in multiplicities(mu).values():
-        u //= factorial(m)
-    return u
+    return factorial(len(mu)) // mult_factorial(mu)
 
 
 @cache

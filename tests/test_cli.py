@@ -134,6 +134,35 @@ def test_stale_cache_recomputed(capsys, tmp_path):
     assert json.loads(path.read_text())["format_version"] == 1
 
 
+@pytest.mark.parametrize("payload", [
+    "[]",
+    '{"format_version":1,"r":5,"terms":{"a":1}}',
+    '{"format_version":1,"r":5,"terms":[{"partition":5,"coef":"1"}]}',
+], ids=["list", "terms-dict", "partition-int"])
+def test_wrong_shaped_cache_file_is_recomputed(capsys, tmp_path, payload):
+    # valid JSON of the wrong shape is a stale file, not a crash
+    _, want, _ = run_cli(capsys, "kerov", "--r", "5", "--jobs", "1")
+    (tmp_path / "kerov_r5.json").write_text(payload)
+    code, out, _ = run_cli(capsys, "kerov", "--r", "5", "--jobs", "1", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == want
+    assert json.loads((tmp_path / "kerov_r5.json").read_text())["r"] == 5
+
+
+def test_unexpected_exception_exits_2_with_traceback(capsys, monkeypatch):
+    # exit 1 means a mathematical finding; a bug exits 2 and shows where it is
+    import kerovlab.cli as cli
+
+    def broken(args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "cmd_character", broken)
+    code, out, err = run_cli(capsys, "character", "--lambda", "2,1", "--r", "2")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" in err and "TypeError: unsupported operand" in err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kerov"])  # missing --r

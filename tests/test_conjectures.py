@@ -1,5 +1,8 @@
 import json
+import re
+from fnmatch import fnmatch
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +106,31 @@ def test_table_scale_mismatch_raises(monkeypatch):
     monkeypatch.setitem(conj.TABLE_SCALES, "F2", 2881)
     with pytest.raises(ChecksumError, match="scale 2880"):
         load_table("F2")
+
+
+def test_csv_table_scale_mismatch_raises(monkeypatch):
+    # every table's recorded scale is checked, not only the closed forms'
+    monkeypatch.setattr(conj, "_table_cache", {})
+    monkeypatch.setitem(conj.TABLE_SCALES, "c3", conj.TABLE_SCALES["c3"] + 1)
+    with pytest.raises(ChecksumError, match="c3.csv: scale 58060800"):
+        load_table("c3")
+
+
+def test_every_table_is_in_the_manifest_and_the_wheel():
+    root = Path(__file__).resolve().parent.parent
+    tables = root / "src" / "kerovlab" / "tables"
+    names = sorted(p.name for p in tables.iterdir() if p.name != "checksums.json")
+    manifest = json.loads((tables / "checksums.json").read_text())["tables"]
+    assert sorted(manifest) == names
+    for name in names:
+        assert set(manifest[name]) == {"scale", "sha256"}, name
+        assert manifest[name]["scale"] == conj.TABLE_SCALES[name.removesuffix(".csv")]
+    # the package-data globs, read without tomllib (Python 3.10 has none)
+    pyproject = (root / "pyproject.toml").read_text()
+    section = pyproject.split("[tool.setuptools.package-data]", 1)[1].split("\n[", 1)[0]
+    globs = re.findall(r'"([^"]+)"', section)
+    for name in names + ["checksums.json"]:
+        assert any(fnmatch(f"tables/{name}", g) for g in globs), name
 
 
 def test_closed_form_tables_match_their_power_sum_forms():
