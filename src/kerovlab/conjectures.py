@@ -3,9 +3,9 @@
 Six shipped tables carry the monomial coefficients of the symmetric functions
 describing Kerov components uniformly in r: the conjectural f_3, f_4 (kinds
 c3, c4, cumulant expansion) and g_3 (kind a3, Q expansion), and the proved
-degree-4 closed forms f2 / g2 / F2.  Each is a `<kind>.csv` file of
-`partition;value` lines scaled to integers, and must match the sha256 and
-the scale that checksums.json records for it.  Verification compares the
+degree-4 closed forms f2 / g2 / F2.  Each is a CSV file of `partition;value`
+lines scaled to integers, and checksums.json records, per kind, the file's
+name, sha256 and scale; the file must match both.  Verification compares the
 components predicted by these tables against the components of the computed
 Kerov polynomials, and extraction goes the other way: it solves for the
 unknown symmetric function from computed components and reports rank,
@@ -99,18 +99,17 @@ def _checksums() -> dict:
 
 
 def load_table(kind: str) -> PaperTable:
-    """Load one embedded table, `<kind>.csv` with one `partition;value` line per entry.
-
-    The file must hash to the sha256 that checksums.json records for it, and
-    the scale recorded next to that sha256 must equal TABLE_SCALES[kind].
-    """
+    """Load one embedded table: the CSV file that checksums.json names for
+    `kind`, one `partition;value` line per entry.  The file must hash to the
+    sha256 recorded with its name, and the scale recorded there must equal
+    TABLE_SCALES[kind]."""
     if kind in _table_cache:
         return _table_cache[kind]
     if kind not in TABLE_SCALES:
         raise ValueError(f"unknown table kind {kind!r}")
-    fname = f"{kind}.csv"
+    want = _checksums()["tables"][kind]
+    fname = want["file"]
     raw = _read_table_file(fname)
-    want = _checksums()["tables"][fname]
     import hashlib  # only the checksum needs it, and it is slow to import
 
     have = hashlib.sha256(raw).hexdigest()
@@ -210,16 +209,11 @@ def extract_symfunc(
     if r_hi - 2 * k + 1 < 0:
         raise ValueError(f"no r in {r_lo}..{r_hi} has a weight r-2k+1 >= 0 component for k={k}")
     family = _TARGET_FAMILY[target]
-    unknowns: list[Partition] = []
-    for d in range(0, 4 * (k - 1) + 1):
-        unknowns.extend(enumerate_partitions(d))
+    unknowns = [rho for d in range(4 * (k - 1) + 1) for rho in enumerate_partitions(d)]
     ech = FractionEchelon(len(unknowns))
     residual: list[tuple[int, Partition]] = []
-    for r in range(r_lo, r_hi + 1):
-        s = r - 2 * k + 1
-        if s < 0:
-            continue
-        comp = provider.component(r, s, family)
+    for r in range(max(r_lo, 2 * k - 1), r_hi + 1):  # r - 2k + 1 >= 0
+        comp = provider.component(r, r - 2 * k + 1, family)
         for mu, fac in _structural_factors(target, k, r).items():
             coef = comp.terms.get(mu, Fraction(0))
             if fac == 0:
@@ -293,11 +287,8 @@ def verify_table(kind: str, r_range: tuple[int, int], provider: KerovProvider) -
     target, k = TABLE_TARGETS[kind]
     func = load_table(kind).to_symfunc()
     checks = []
-    for r in range(r_range[0], r_range[1] + 1):
-        s = r - 2 * k + 1
-        if s < 0:
-            continue
-        computed = provider.component(r, s, _TARGET_FAMILY[target])
+    for r in range(max(r_range[0], 2 * k - 1), r_range[1] + 1):  # r - 2k + 1 >= 0
+        computed = provider.component(r, r - 2 * k + 1, _TARGET_FAMILY[target])
         mism = _first_mismatch(computed, predicted_component(target, k, r, func))
         checks.append(TableCheck(r=r, ok=mism is None, first_mismatch=mism))
     return TableVerification(kind=kind, checks=checks)

@@ -562,11 +562,19 @@ class KerovProvider:
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-            if data.get("format_version") != CACHE_FORMAT_VERSION or data.get("r") != r:
-                return None
-            kp = KerovPolynomial(r, CumulantPolynomial.from_terms_json("R", data["terms"]))
-        except (ValueError, KeyError, TypeError, AttributeError, OSError):
-            return None  # partial, corrupt or wrong-shaped file: regenerate
+            # _cache_payload's shape, on which the parser raises only ValueError/KeyError
+            terms = data.get("terms") if isinstance(data, dict) else None
+            if (
+                not isinstance(terms, list)
+                or (data.get("format_version"), data.get("r")) != (CACHE_FORMAT_VERSION, r)
+                or not all(isinstance(t, dict) for t in terms)
+                or not all(isinstance(t.get("partition"), list) for t in terms)
+                or not all(isinstance(p, int) for t in terms for p in t["partition"])
+            ):
+                return None  # another version or r, or a wrong shape: regenerate
+            kp = KerovPolynomial(r, CumulantPolynomial.from_terms_json("R", terms))
+        except (ValueError, KeyError, OSError):
+            return None  # partial or corrupt file: regenerate
         self._mem[r] = kp
         return kp
 

@@ -138,7 +138,8 @@ def test_stale_cache_recomputed(capsys, tmp_path):
     "[]",
     '{"format_version":1,"r":5,"terms":{"a":1}}',
     '{"format_version":1,"r":5,"terms":[{"partition":5,"coef":"1"}]}',
-], ids=["list", "terms-dict", "partition-int"])
+    '{"format_version":1,"r":5,"terms":[{"partition":[[2]],"coef":"1"}]}',
+], ids=["list", "terms-dict", "partition-int", "partition-nested"])
 def test_wrong_shaped_cache_file_is_recomputed(capsys, tmp_path, payload):
     # valid JSON of the wrong shape is a stale file, not a crash
     _, want, _ = run_cli(capsys, "kerov", "--r", "5", "--jobs", "1")
@@ -147,6 +148,23 @@ def test_wrong_shaped_cache_file_is_recomputed(capsys, tmp_path, payload):
     assert code == 0
     assert out == want
     assert json.loads((tmp_path / "kerov_r5.json").read_text())["r"] == 5
+
+
+def test_cache_parser_bug_is_not_taken_for_a_stale_file(capsys, tmp_path, monkeypatch):
+    # only the file's shape is forgiven: a TypeError from the parser itself
+    # propagates, and main reports it as an internal error
+    from kerovlab.kerov import CumulantPolynomial
+
+    run_cli(capsys, "kerov", "--r", "5", "--jobs", "1", "--cache-dir", str(tmp_path))
+
+    def broken(tag, terms):
+        raise TypeError("parser bug")
+
+    monkeypatch.setattr(CumulantPolynomial, "from_terms_json", broken)
+    code, out, err = run_cli(capsys, "kerov", "--r", "5", "--jobs", "1", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "TypeError: parser bug" in err
 
 
 def test_unexpected_exception_exits_2_with_traceback(capsys, monkeypatch):
