@@ -1,10 +1,8 @@
-"""Exact irreducible characters of symmetric groups.
-
-The normalized character of an r-cycle comes from Frobenius' formula, one
-sum over the beta-numbers (first-column hook lengths) of the diagram.
-General cycle types go through the Murnaghan-Nakayama border-strip
-recursion, run on beta-numbers and stripping the largest cycle first, and
-dimensions through the hook length formula.
+"""Exact irreducible characters of symmetric groups, on the beta-numbers
+beta_i = lam_i + l - i (first-column hook lengths, beads on the abacus) of lam:
+Frobenius' formula for an r-cycle, the dimension n! prod_{i<j} (beta_i -
+beta_j) / prod_i beta_i!, and the Murnaghan-Nakayama recursion for general
+cycle types, stripping the largest cycle first.
 """
 
 from __future__ import annotations
@@ -12,82 +10,63 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, perm, prod
 
-from .partitions import Partition, conjugate
+from .partitions import Partition
 
-_dim_cache: dict[Partition, int] = {}
-_mn_cache: dict[tuple[Partition, Partition], int] = {}
-
-
-def dimension(lam: Partition) -> int:
-    """Dimension of the irreducible representation lam (hook length formula)."""
-    if not lam:
-        raise ValueError("dimension of the empty partition is undefined here")
-    got = _dim_cache.get(lam)
-    if got is None:
-        got = _hook_dimension(lam)
-        _dim_cache[lam] = got
-    return got
-
-
-def _hook_dimension(lam: Partition) -> int:
-    conj = conjugate(lam)
-    num = factorial(sum(lam))
-    den = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            den *= row - j + conj[j] - i - 1
-    q, rem = divmod(num, den)
-    if rem:
-        raise RuntimeError(f"hook product {den} of {lam} does not divide {sum(lam)}!")
-    return q
+_mn_cache: dict[tuple[tuple[int, ...], Partition], int] = {}
 
 
 def _beta(lam: Partition) -> tuple[int, ...]:
-    l = len(lam)
-    return tuple(lam[i] + (l - 1 - i) for i in range(l))
+    return tuple(p + len(lam) - 1 - i for i, p in enumerate(lam))
 
 
-def _from_beta(beta: list[int]) -> Partition:
-    beta = sorted(beta, reverse=True)
-    l = len(beta)
-    lam = [beta[i] - (l - 1 - i) for i in range(l)]
-    return tuple(p for p in lam if p > 0)
+def dimension(lam: Partition) -> int:
+    """Dimension of the irreducible representation lam."""
+    if not lam:
+        raise ValueError("dimension of the empty partition is undefined here")
+    return _beta_dimension(_beta(lam))
 
 
-def _strip_candidates(lam: Partition, k: int):
-    """Border strips of size k removable from lam.
-
-    On the abacus a strip removal moves one bead down k slots; the sign is
-    (-1)^(number of beads jumped over).
-    """
-    beta = _beta(lam)
-    bset = set(beta)
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        rest = [c for c in beta if c != b] + [nb]
-        yield (-1) ** height, _from_beta(rest)
+def _beta_dimension(beta: tuple[int, ...]) -> int:
+    """n! prod_{i<j} (beta_i - beta_j) / prod_i beta_i! for decreasing beads."""
+    n = sum(beta) - len(beta) * (len(beta) - 1) // 2
+    num = factorial(n) * prod(b - c for i, b in enumerate(beta) for c in beta[i + 1:])
+    den = prod(map(factorial, beta))
+    q, rem = divmod(num, den)
+    if rem:
+        raise RuntimeError(f"prod beta_i! = {den} of beads {beta} does not divide {num}")
+    return q
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
     """Character value of the class of cycle type mu in the representation lam."""
     if sum(lam) != sum(mu):
         raise ValueError("representation and cycle type must have equal weight")
-    return _mn(lam, mu)
+    return _mn(_beta(lam), mu)
 
 
-def _mn(lam: Partition, mu: Partition) -> int:
+def _mn(beta: tuple[int, ...], mu: Partition) -> int:
+    """Removing a k-strip moves a bead b to a free slot b - k, with sign
+    (-1)^(beads strictly between).  A bead at 0 is an empty row: dropping it
+    and shifting the rest down by one keeps one bead tuple per partition."""
     if not mu:
         return 1
-    if all(p == 1 for p in mu):
-        return dimension(lam)
-    key = (lam, mu)
+    key = (beta, mu)
     got = _mn_cache.get(key)
     if got is None:
-        rest = mu[1:]
-        got = sum(sign * _mn(sub, rest) for sign, sub in _strip_candidates(lam, mu[0]))
+        if all(p == 1 for p in mu):
+            got = _beta_dimension(beta)
+        else:
+            k, rest = mu[0], mu[1:]
+            got = 0
+            for b in beta:
+                nb = b - k
+                if nb < 0 or nb in beta:
+                    continue
+                height = sum(1 for c in beta if nb < c < b)
+                moved = sorted([c for c in beta if c != b] + [nb], reverse=True)
+                while moved and not moved[-1]:
+                    moved = [c - 1 for c in moved[:-1]]
+                got += (-1) ** height * _mn(tuple(moved), rest)
         _mn_cache[key] = got
     return got
 

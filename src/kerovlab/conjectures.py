@@ -87,9 +87,6 @@ class PaperTable(NamedTuple):
         return SymFunc("m", {mu: Fraction(v, self.scale) for mu, v in self.entries.items()})
 
 
-_table_cache: dict[str, PaperTable] = {}
-
-
 def _read_table_file(name: str) -> bytes:
     return (resources.files("kerovlab") / "tables" / name).read_bytes()
 
@@ -103,8 +100,6 @@ def load_table(kind: str) -> PaperTable:
     `kind`, one `partition;value` line per entry.  The file must hash to the
     sha256 recorded with its name, and the scale recorded there must equal
     TABLE_SCALES[kind]."""
-    if kind in _table_cache:
-        return _table_cache[kind]
     if kind not in TABLE_SCALES:
         raise ValueError(f"unknown table kind {kind!r}")
     want = _checksums()["tables"][kind]
@@ -122,8 +117,7 @@ def load_table(kind: str) -> PaperTable:
         if line.strip():
             part_text, value_text = line.split(";")
             entries[parse_partition(part_text)] = int(value_text)
-    table = _table_cache[kind] = PaperTable(kind, TABLE_SCALES[kind], entries)
-    return table
+    return PaperTable(kind, TABLE_SCALES[kind], entries)
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +311,10 @@ class PositivityReport(NamedTuple):
 
 def positivity_report(obj) -> PositivityReport:
     """Count coefficient signs of a SymFunc or CumulantPolynomial."""
-    neg, zero, pos = [], 0, 0
-    for mu, c in sorted(obj.terms.items()):
-        if c < 0:
-            neg.append((mu, c))
-        elif c == 0:
-            zero += 1
-        else:
-            pos += 1
-    return PositivityReport(negative=neg, zero_count=zero, positive_count=pos)
+    terms = obj.sorted_terms()
+    neg = [(mu, c) for mu, c in terms if c < 0]
+    zero = sum(1 for _, c in terms if c == 0)
+    return PositivityReport(neg, zero, len(terms) - len(neg) - zero)
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +445,11 @@ def _suite_positivity_family(family: str):
             for s in range(r - 1, -1, -2):
                 comp = provider.component(r, s, family)
                 checked += 1
-                for mu, c in comp.sorted_terms():
-                    if c < 0:
-                        findings.append(
-                            f"K_{{{r},{s}}} has negative {family}-coefficient "
-                            f"{format_rational(c)} at {format_partition(mu) or '()'}"
-                        )
+                findings.extend(
+                    f"K_{{{r},{s}}} has negative {family}-coefficient "
+                    f"{format_rational(c)} at {format_partition(mu) or '()'}"
+                    for mu, c in positivity_report(comp).negative
+                )
         return SuiteReport(
             f"positivity-{family}", not findings, findings, {"r_max": hi, "components": checked}
         )

@@ -43,8 +43,6 @@ BASES = ("m", "p", "e", "h")
 Expansion = tuple[int, dict[Partition, int]]  # (denominator, integer numerators)
 
 _gen_in_p: dict[tuple[str, Partition], Expansion] = {}
-_p_in_gen: dict[tuple[str, Partition], Expansion] = {}
-_p_in_m: dict[Partition, dict[Partition, int]] = {}
 _m_in_p: dict[Partition, Expansion] = {}
 
 
@@ -150,12 +148,9 @@ def _m_times_pn(f: dict[Partition, int], n: int) -> dict[Partition, int]:
 
 def p_in_m(mu: Partition) -> dict[Partition, int]:
     """Expand the power-sum product p_mu into monomial symmetric functions."""
-    got = _p_in_m.get(mu)
-    if got is None:
-        got = {(): 1}
-        for part in mu:
-            got = _m_times_pn(got, part)
-        _p_in_m[mu] = got
+    got = {(): 1}
+    for part in mu:
+        got = _m_times_pn(got, part)
     return got
 
 
@@ -368,8 +363,9 @@ class SymFunc(SparseTerms):
         if target == "m":
             den, pterms = _expand(den, pterms.items(), lambda mu: (1, p_in_m(mu)))
         elif target != "p":
+            suffixes: dict = {}  # shared by the products of this one conversion
             den, pterms = _expand(den, pterms.items(), lambda mu: _product_expansion(
-                _p_in_gen, target, mu, lambda n: p_in_gen(target, n)))
+                suffixes, target, mu, lambda n: p_in_gen(target, n)))
         return {mu: Fraction(v, den) for mu, v in pterms.items()}
 
     # -- evaluation ----------------------------------------------------------

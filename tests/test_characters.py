@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import perm
+from math import factorial, perm
 
 import pytest
 
@@ -33,6 +33,50 @@ def fixed_points(mu):
     return multiplicities(mu).get(1, 0)
 
 
+def hook_dimension(lam):
+    """The hook length formula, n! / prod of the hook lengths."""
+    conj = conjugate(lam)
+    den = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            den *= row - j + conj[j] - i - 1
+    q, rem = divmod(factorial(sum(lam)), den)
+    assert rem == 0
+    return q
+
+
+def _strip_candidates(lam, k):
+    """(sign, lam minus the strip) for each border strip of size k, read off
+    the beta-numbers and turned back into a partition."""
+    l = len(lam)
+    beta = [lam[i] + l - 1 - i for i in range(l)]
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        rest = sorted([c for c in beta if c != b] + [nb], reverse=True)
+        sub = (rest[i] - (l - 1 - i) for i in range(l))
+        yield (-1) ** height, tuple(p for p in sub if p > 0)
+
+
+_partition_mn_cache = {}
+
+
+def partition_mn(lam, mu):
+    """Murnaghan-Nakayama on partitions, with the hook length dimension at 1^n."""
+    if not mu:
+        return 1
+    if all(p == 1 for p in mu):
+        return hook_dimension(lam)
+    key = (lam, mu)
+    if key not in _partition_mn_cache:
+        _partition_mn_cache[key] = sum(
+            sign * partition_mn(sub, mu[1:]) for sign, sub in _strip_candidates(lam, mu[0])
+        )
+    return _partition_mn_cache[key]
+
+
 # ---------------------------------------------------------------------------
 # dimension
 # ---------------------------------------------------------------------------
@@ -56,6 +100,15 @@ def test_dimension_matches_character_at_identity():
     for n in range(1, 9):
         for lam in enumerate_partitions(n):
             assert dimension(lam) == mn_character(lam, (1,) * n)
+
+
+def test_dimension_and_characters_match_the_partition_oracles():
+    for n in range(1, 11):
+        lams = enumerate_partitions(n)
+        for lam in lams:
+            assert dimension(lam) == hook_dimension(lam), lam
+            for mu in lams:
+                assert mn_character(lam, mu) == partition_mn(lam, mu), (lam, mu)
 
 
 def test_dimension_rejects_empty():
@@ -153,7 +206,8 @@ def test_normalized_validation():
 
 
 def test_non_dividing_hook_product_is_an_error(monkeypatch):
-    # the hook product of (3, 1) is 8; a "factorial" of 7 cannot be divided by it
+    # with every "factorial" 7, the beads (4, 1) of (3, 1) give 7 * (4 - 1) = 21
+    # over 7 * 7 = 49, which does not divide
     monkeypatch.setattr(characters, "factorial", lambda n: 7)
     with pytest.raises(RuntimeError, match="does not divide"):
-        characters._hook_dimension((3, 1))
+        characters.dimension((3, 1))

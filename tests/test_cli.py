@@ -231,12 +231,10 @@ def test_selftest_checksum_failure_exits_2(capsys, monkeypatch):
         return data.replace(b"13200", b"13201", 1) if name == "c3.csv" else data
 
     monkeypatch.setattr(conj, "_read_table_file", corrupted)
-    conj._table_cache.clear()
     code, _, err = run_cli(capsys, "selftest", "--jobs", "1")
     assert code == 2
     assert "checksum" in err.lower()
     monkeypatch.undo()
-    conj._table_cache.clear()
 
 
 def test_interpolation_failure_exits_2(capsys, monkeypatch, short_echelon):

@@ -93,16 +93,25 @@ def test_checksum_failure_raises(monkeypatch):
         return data.replace(b"39884", b"39885", 1) if name == "c3.csv" else data
 
     monkeypatch.setattr(conj, "_read_table_file", corrupted)
-    conj._table_cache.clear()
     with pytest.raises(ChecksumError):
         load_table("c3")
     monkeypatch.undo()
-    conj._table_cache.clear()
     assert load_table("c3").entries[(8,)] == 9
 
 
+def test_every_load_checks_the_digest_again(monkeypatch):
+    # a table loaded once is read and hashed again on the next load
+    assert load_table("c3").entries[(8,)] == 9
+    real = conj._read_table_file
+    monkeypatch.setattr(
+        conj, "_read_table_file",
+        lambda name: real(name).replace(b"39884", b"39885", 1) if name == "c3.csv" else real(name),
+    )
+    with pytest.raises(ChecksumError):
+        load_table("c3")
+
+
 def test_table_scale_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(conj, "_table_cache", {})
     monkeypatch.setitem(conj.TABLE_SCALES, "F2", 2881)
     with pytest.raises(ChecksumError, match="scale 2880"):
         load_table("F2")
@@ -110,7 +119,6 @@ def test_table_scale_mismatch_raises(monkeypatch):
 
 def test_csv_table_scale_mismatch_raises(monkeypatch):
     # every table's recorded scale is checked, not only the closed forms'
-    monkeypatch.setattr(conj, "_table_cache", {})
     monkeypatch.setitem(conj.TABLE_SCALES, "c3", conj.TABLE_SCALES["c3"] + 1)
     with pytest.raises(ChecksumError, match="c3.csv: scale 58060800"):
         load_table("c3")
@@ -262,6 +270,23 @@ def test_verify_table_reports_first_mismatch():
     byr = {c.r: c for c in ver.checks}
     assert byr[7].ok and not byr[8].ok
     assert byr[8].first_mismatch is not None
+
+
+def test_positivity_findings_name_each_negative_coefficient_in_order(monkeypatch, provider):
+    # two negative coefficients in one component, listed in the display order
+    # (weight descending), not in the tuples' sorted order
+    bad = CumulantPolynomial("C", {(): Fraction(-5), (2, 2): Fraction(1), (3,): Fraction(-1, 3)})
+    real = KerovProvider.component
+    monkeypatch.setattr(
+        KerovProvider, "component",
+        lambda self, r, s, family="R": bad if (r, s) == (3, 0) else real(self, r, s, family),
+    )
+    rep = run_suite("positivity-C", provider, r_max=5)
+    assert rep.findings == [
+        "K_{3,0} has negative C-coefficient -1/3 at 3",
+        "K_{3,0} has negative C-coefficient -5 at ()",
+    ]
+    assert not rep.ok and rep.detail["components"] == 8
 
 
 def test_positivity_report_examples(provider):
