@@ -21,12 +21,12 @@ from collections.abc import Callable
 from fractions import Fraction
 from importlib import resources
 from math import comb, factorial, perm
-from operator import mul
 from typing import NamedTuple
 
 from .kerov import (
     CumulantPolynomial,
     KerovProvider,
+    _block_values,
     _evaluation_row,
     change_generators,
     kerov_findings,
@@ -51,7 +51,7 @@ from .partitions import (
     triple_sums,
     z_factor,
 )
-from .symfunc import SymFunc, _numerators, monomial_value
+from .symfunc import SymFunc, monomial_value
 
 
 class ChecksumError(RuntimeError):
@@ -468,9 +468,7 @@ def _suite_kerov_theorem(provider: KerovProvider, lo: int, hi: int) -> SuiteRepo
         values = {}  # r -> K_r's denominator and its numerators on the block
         for r in rs:
             terms = provider.get(r).poly.terms
-            den, numerators = _numerators(terms.values())
-            rows = zip(*_evaluation_row(list(terms), cols))
-            values[r] = den, [sum(map(mul, numerators, row)) for row in rows]
+            values[r] = _block_values(terms, zip(*_evaluation_row(list(terms), cols)))
         for i, lam in enumerate(lams):
             for r in rs:
                 checked += 1

@@ -57,9 +57,9 @@ FAMILIES = ("R", "C", "Q")
 
 CACHE_FORMAT_VERSION = 1
 
-# the most diagrams whose rows are built at once in compute_kerov; no block at
-# r <= 25 is split, nor the 300-diagram re-check
-ROW_CHUNK = 512
+# the most diagrams whose rows are built at once: of 64..512 the lowest peak RSS at
+# r = 25..33, in the same time; the re-check splits from r = 7, the first block from 16
+ROW_CHUNK = 64
 
 
 class KerovComputationError(RuntimeError):
@@ -176,43 +176,40 @@ def _cores(r: int) -> Counter:
     return Counter(_core(mu) for mu in kerov_support(r))
 
 
-# L_n = n [u^n] log M(u) for the moment series M; Lagrange inversion of
-# M = 1 + sum R_s (uM)^s gives
-# L_n = sum over mu |- n with parts >= 2 of n! / ((n - l(mu))! prod m_i(mu)!) R_mu.
-def _log_moment(n: int) -> Expansion:
-    return 1, {mu: factorial(n) // (factorial(n - len(mu)) * mult_factorial(mu))
-               for mu in enumerate_partitions(n, 2)}
-
-
 def _closed_form(r: int) -> dict[Partition, Fraction]:
     """The terms of K_r from Biane's formula (LNM 1815, 2003), with no solve.
 
     Sigma_r = -(1/r) [u^{r+1}] prod_{j<r} (1 - ju) / M(u/(1 - ju)), whose log
     is sum_N Lambda_N u^N, Lambda_N = -S_N/N - sum_n C(N-1, N-n) S_{N-n} L_n/n
-    with S_m = sum_{j<r} j^m.  Solving the Newton recurrence for its exp
-    monomial by monomial, with c(u) = prod_{j<r} (1 - ju) and
-    B_n(u) = sum_{j<r} (u/(1-ju))^n, gives
-    K_r = sum_nu (-1)^{l(nu)+1} / (r z_nu) [u^{r+1}] (c(u) prod_i B_{nu_i}(u)) L_nu.
-    The u-series are integer suffix products; only the last step divides.
+    with S_m = sum_{j<r} j^m and L_n = n [u^n] log M(u), which Lagrange
+    inversion of M = 1 + sum R_s (uM)^s makes the sum over mu |- n with parts
+    >= 2 of n! / ((n - l(mu))! prod m_i(mu)!) R_mu.  Solving the Newton
+    recurrence for its exp monomial by monomial, with c(u) = prod_{j<r} (1 - ju)
+    and B_n(u) = sum_{j<r} (u/(1-ju))^n, gives K_r = sum_nu coef(nu) L_nu / (r (r+1)!),
+    coef(nu) = (-1)^{l(nu)+1} ((r+1)! / z_nu) [u^{r+1}] c(u) prod_i B_{nu_i}(u).
+    That sum is T(()) by Horner's rule on the trie of the nu (parts weakly
+    decreasing), T(nu) = coef(nu) + sum_n L_n T(nu + (n,)); each node's integer
+    u-series is its parent's times B_n / u^n, so no product over a nu is kept.
     """
     top = r + 1
     s = [sum(j**m for j in range(r)) for m in range(top + 1)]
     c = [col[0] for col in _ratio_series([[j] for j in range(1, r)], [], top, 1)]
+    scale = factorial(top)  # z_nu divides |nu|!, hence (r+1)!
+    log_moments = [{mu: factorial(n) // (factorial(n - len(mu)) * mult_factorial(mu))
+                    for mu in enumerate_partitions(n, 2)} for n in range(top + 1)]
 
     def times(n: int, rest: list[int]) -> list[int]:  # (B_n / u^n) rest, to len(rest) - n terms
         b = [comb(n + k - 1, k) * s[k] for k in range(len(rest) - n)]
         return [sum(map(mul, b[: k + 1], rest[k::-1])) for k in range(len(b))]
 
-    nus = [nu for w in range(top + 1) for nu in enumerate_partitions(w, 2)]
-    series = _suffix_products(nus, times, c)  # c(u) prod_i B_{nu_i}(u) / u^|nu| to u^(r+1-|nu|)
-    scale, out = factorial(top), {}  # z_nu divides |nu|!, hence (r+1)!
-    log_moments = {}  # nu -> L_nu = prod L_{nu_i} in the R_i, by suffix; freed on return
-    for nu, u_series in zip(nus, series):
+    def horner(nu: Partition, u_series: list[int]) -> dict[Partition, int]:
         coef = (-1) ** (len(nu) + 1) * (scale // z_factor(nu)) * u_series[-1]
-        if coef:
-            _, monomial = _product_expansion(log_moments, "L", nu, _log_moment)
-            _free_mul({(): coef}, monomial, out)
-    return {mu: Fraction(v, r * scale) for mu, v in out.items()}
+        total = {(): coef} if coef else {}
+        for n in range(2, min(nu[-1] if nu else top, len(u_series) - 1) + 1):
+            _free_mul(log_moments[n], horner(nu + (n,), times(n, u_series)), total)
+        return total
+
+    return {mu: Fraction(v, r * scale) for mu, v in horner((), c).items()}
 
 
 def _suffix_products(monomials, times, one) -> list:
@@ -237,6 +234,12 @@ def _evaluation_row(monomials, cols) -> list[list[int]]:
     transpose is diagram i's row), from its cumulant columns: cols[k][i] is
     R_k of diagram i."""
     return _suffix_products(monomials, lambda i, v: list(map(mul, cols[i], v)), [1] * len(cols[0]))
+
+
+def _rows(monomials, lams: list[Partition], k_max: int):
+    """Each diagram's row of monomial values, built ROW_CHUNK diagrams at a time."""
+    for i in range(0, len(lams), ROW_CHUNK):
+        yield from zip(*_evaluation_row(monomials, _cumulant_list(lams[i:i + ROW_CHUNK], k_max)))
 
 
 def _integer_character(lam: Partition, r: int) -> int:
@@ -278,13 +281,6 @@ def compute_kerov(r: int) -> KerovPolynomial:
         f_coeffs[_core(mu)][mu.count(2)] = a
     f_values: dict[int, list[int]] = {}  # n -> f_g(n) for every core
 
-    def rows_of(block: list[Partition]):
-        """The core row of each diagram of the block, built ROW_CHUNK diagrams
-        at a time."""
-        for i in range(0, len(block), ROW_CHUNK):
-            chunk = block[i:i + ROW_CHUNK]
-            yield from zip(*_evaluation_row(cores, _cumulant_list(chunk, r + 1)))
-
     def check(lam: Partition, row: list[int]) -> None:
         n = sum(lam)
         if n not in f_values:
@@ -306,14 +302,14 @@ def compute_kerov(r: int) -> KerovPolynomial:
                     f"K_{r}: rank {ech.rank} of {len(live)} live cores at weight {n}"
                 )
             block = [others.at(i) for i in ranks]
-            for i, lam, row in zip(ranks, block, rows_of(block)):
+            for i, lam, row in zip(ranks, block, _rows(cores, block, r + 1)):
                 if ech.add_row([row[k] for k in live]):
                     check(lam, row)
                     others.skip.append(i)
             start = ranks.stop
     picks = random.Random(20_000 + r).sample(range(len(others)), min(300, len(others)))
     recheck = [others[i] for i in picks]
-    for lam, row in zip(recheck, rows_of(recheck)):
+    for lam, row in zip(recheck, _rows(cores, recheck, r + 1)):
         check(lam, row)
     others.skip = sorted(others.skip + [others.position(i) for i in picks])  # the held-out pool
     while len(others) < 10:  # small r: add the next weights, none of them sampled
@@ -357,18 +353,24 @@ class _Diagrams(Sequence):
 
 def _verify_held_out(kp: KerovPolynomial, pool: Sequence[Partition]) -> list[Partition]:
     """Evaluate the polynomial at the free cumulants of ten seeded diagrams of
-    the pool against the oracle; returns the ten."""
+    the pool against the oracle, as one block; returns the ten."""
     r = kp.r
     picks = random.Random(10_000 + r).sample(pool, 10)
-    cols = _cumulant_list(picks, r + 1)
-    for i, lam in enumerate(picks):
-        got = kp.poly.evaluate({k: cols[k][i] for k in range(2, r + 2)})
+    den, values = _block_values(kp.poly.terms, _rows(list(kp.poly.terms), picks, r + 1))
+    for lam, got in zip(picks, values):
         want = normalized_character(lam, r)
-        if got != want:
+        if got * want.denominator != want.numerator * den:
             raise KerovComputationError(
-                f"K_{r}: held-out check failed at lambda={lam}: {got} != {want}"
+                f"K_{r}: held-out check failed at lambda={lam}: {Fraction(got, den)} != {want}"
             )
     return picks
+
+
+def _block_values(terms: dict[Partition, Fraction], rows) -> tuple[int, list[int]]:
+    """The lcm d of the coefficients' denominators and d times the polynomial
+    on each diagram's row of monomial values, columns in the order of terms."""
+    den, numerators = _numerators(terms.values())
+    return den, [sum(map(mul, numerators, row)) for row in rows]
 
 
 def graded_component(kp: KerovPolynomial, s: int) -> CumulantPolynomial:
