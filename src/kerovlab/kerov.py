@@ -14,12 +14,12 @@ one pivot, so no row is built past the diagram that completes the rank.
 Generator-family conversion is a series substitution in the quotient ring
 where the degree-one generators vanish: with X = sum (i-1) R_i z^i, the
 identities 1/(1-X) = C(z), -log(1-X) = Q(z) and exp(Q(z)) = C(z) give each
-generator of one family as a partition sum over the generators of another,
-with parts >= 2 (`partitions.series_coefficients`), and each monomial's
-expansion is memoized as a suffix product.  Exact arithmetic runs on integer
-numerators over one common denominator: a conversion, an evaluation or a
-triple sum scales its rationals to integers once and builds one Fraction per
-output term.
+generator of one family as a partition sum over the generators of another.
+Those six rows sit in `symfunc.SUBSTITUTIONS`, the one table that also turns
+e and h into p and back, and `symfunc.monomial_in` memoizes each monomial's
+expansion.  Exact arithmetic runs on integer numerators over one common
+denominator: a conversion, an evaluation or a triple sum scales its rationals
+to integers once and builds one Fraction per output term.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from .partitions import (
     unrank_partition,
     z_factor,
 )
-from .symfunc import (Expansion, SparseTerms, _expand, _free_mul, _numerators, _product_expansion,
-                      _sort_key, phi_hat)
+from .symfunc import SparseTerms, _expand, _free_mul, _numerators, _sort_key, monomial_in, phi_hat
 
 FAMILIES = ("R", "C", "Q")
 
@@ -108,24 +107,11 @@ class CumulantPolynomial(SparseTerms):
         return sorted({sum(mu) for mu in self.terms})
 
     def evaluate(self, values: dict[int, Fraction]) -> Fraction:
-        """Evaluate with generator i mapped to values[i], in integers.
-
-        With d and e the lcms of the denominators of the values and of the
-        coefficients, c_mu prod_i v_i = (e c_mu) prod_i (d v_i) / (e d^l(mu));
-        each monomial is raised to the longest length L by d^(L - l(mu)), the
-        numerators are summed over shared suffix products and one Fraction
-        is built over e d^L.
-        """
-        if not self.terms:
-            return Fraction(0)
-        d, scaled = _numerators(values.values())
-        scaled = dict(zip(values, scaled))
-        e, numerators = _numerators(self.terms.values())
-        longest = max(map(len, self.terms))
-        lift = [d ** (longest - length) for length in range(longest + 1)]
-        products = _suffix_products(self.terms, lambda i, v: scaled[i] * v, 1)
-        total = sum(a * p * lift[len(mu)] for mu, a, p in zip(self.terms, numerators, products))
-        return Fraction(total, e * d**longest)
+        """Evaluate with generator i mapped to values[i]: the monomials as
+        shared suffix products, summed as the certificate sums a row."""
+        row = _suffix_products(self.terms, lambda i, v: values[i] * v, Fraction(1))
+        den, (total,) = _block_values(self.terms, [row])
+        return Fraction(total, den)
 
     def _monomial_text(self, mu: Partition) -> str:
         return "*".join(f"{self.family}{i}" for i in mu) or "1"
@@ -382,52 +368,17 @@ def graded_component(kp: KerovPolynomial, s: int) -> CumulantPolynomial:
 # family conversion by series substitution in the quotient ring
 # ---------------------------------------------------------------------------
 
-# Each family as a generating series: C(z) = 1 + sum C_i z^i, Q(z) = sum Q_i z^i
-# and H(z) = 1 - X(z) = 1 - sum (i-1) R_i z^i standing for R.  Between them
-# H = 1/C, C = exp(Q) and Q = -log H, so the source series is F(target series)
-# and its z^i coefficient is a partition sum with phi(l) = l! [x^l] F:
-# _PHI[(src, dst)] is that phi, with the weight i - 1 of X when dst is R.
-_PHI = {
-    ("C", "R"): factorial,
-    ("Q", "R"): lambda l: factorial(l - 1),
-    ("R", "C"): lambda l: (-1) ** l * factorial(l),
-    ("R", "Q"): lambda l: (-1) ** l,
-    ("C", "Q"): lambda l: 1,
-    ("Q", "C"): lambda l: (-1) ** (l - 1) * factorial(l - 1),
-}
-# ((src, dst), mu) -> the source monomial mu in the target generators
-_monomials: dict[tuple[tuple[str, str], Partition], Expansion] = {}
-
-
-def _monomial(src: str, dst: str, mu: Partition) -> Expansion:
-    """The source monomial mu in the target generators, generator by generator."""
-    def gen(i):
-        weight = (lambda j: j - 1) if dst == "R" else (lambda j: 1)
-        coeffs = series_coefficients(i, 2, _PHI[(src, dst)], weight)
-        den, numerators = _numerators(coeffs.values())
-        if src == "R":  # (i-1) R_i = -H_i
-            den, numerators = den * (i - 1), [-a for a in numerators]
-        return den, dict(zip(coeffs, numerators))
-
-    return _product_expansion(_monomials, (src, dst), mu, gen)
-
 
 def change_generators(poly: CumulantPolynomial, target: str) -> CumulantPolynomial:
-    """Re-express a polynomial in another generator family, exactly.
-
-    The conversion is a series substitution in the quotient ring where the
-    degree-one generators vanish: through 1/(1-X) = C, -log(1-X) = Q and
-    exp(Q) = C with X = sum (i-1) R_i z^i, each source generator is one
-    partition sum over the target generators, and the expansion of each
-    source monomial is memoized.
-    """
+    """Re-express a polynomial in another generator family, exactly, each
+    source monomial by its memoized expansion `symfunc.monomial_in`."""
     if target not in FAMILIES:
         raise ValueError(f"unknown family {target!r}")
     if target == poly.family:
         return poly
     den, numerators = _numerators(poly.terms.values())
     den, out = _expand(den, zip(poly.terms, numerators),
-                       lambda mu: _monomial(poly.family, target, mu))
+                       lambda mu: monomial_in(poly.family, target, mu))
     return CumulantPolynomial(target, {nu: Fraction(v, den) for nu, v in out.items()})
 
 

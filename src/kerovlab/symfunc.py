@@ -4,9 +4,11 @@ A SymFunc is a sparse map from index partitions to rational coefficients,
 tagged with the basis it is written in; SparseTerms, the term map it shares
 with the cumulant polynomials, owns cleaning, text and JSON.  Power sums are
 the reference basis: multiplication and equality go through p, where the
-algebra is free and a product of basis elements is concatenation of the
-index partitions.  An e or h product reaches p through class sizes, and p_n
-goes back to e or h by Waring's formula, one partition sum per generator.
+algebra is free and a product of basis elements is concatenation of the index
+partitions.  Every multiplicative change of generators, e/h to and from p and
+among the cumulant families R, C and Q, is one series substitution: a row of
+SUBSTITUTIONS gives each generator as a partition sum (`generator_in`), and
+one memo holds each monomial's expansion as a suffix product (`monomial_in`).
 Evaluation at an integer vector is direct integer substitution in the
 function's own basis, with no basis change.  Exact arithmetic runs on integer
 numerators over one common denominator (`_numerators`, `_expand`): every
@@ -26,12 +28,10 @@ from .partitions import (
     Partition,
     check_partition,
     enumerate_partitions,
-    epsilon,
     format_partition,
     format_rational,
     mult_factorial,
     series_coefficients,
-    z_factor,
 )
 
 BASES = ("m", "p", "e", "h")
@@ -42,7 +42,7 @@ BASES = ("m", "p", "e", "h")
 
 Expansion = tuple[int, dict[Partition, int]]  # (denominator, integer numerators)
 
-_gen_in_p: dict[tuple[str, Partition], Expansion] = {}
+_monomials: dict[tuple[str, str, Partition], Expansion] = {}  # (src, dst, lam) -> monomial_in
 _m_in_p: dict[Partition, Expansion] = {}
 
 
@@ -85,45 +85,56 @@ def _free_mul(f: dict, g: dict, out: dict | None = None) -> dict:
     return out
 
 
-def _product_expansion(table: dict, key, lam: Partition, single) -> Expansion:
-    """prod_i single(lam_i) of (d, numerators) pairs, memoized per suffix of lam."""
-    got = table.get((key, lam))
+def _log1p(l: int) -> int:
+    """l! [x^l] log(1 + x)."""
+    return (-1) ** (l - 1) * factorial(l - 1)
+
+
+def _one(_) -> int:
+    return 1
+
+
+# Generator n of family src is scale(n) [z^n] F(sum_i weight(i) g_i z^i) in the
+# generators g of dst, with phi(l) = l! [x^l] F and parts >= min_part:
+# SUBSTITUTIONS[(src, dst)] = (min_part, phi, weight, scale).  e and h are exp
+# of their p series and p_n is Waring's log.  The cumulant families live in the
+# quotient ring where the degree-one generators vanish: C(z) = 1 + sum C_i z^i,
+# Q(z) = sum Q_i z^i and H(z) = 1 - X(z), X = sum (i-1) R_i z^i, standing for R,
+# with H = 1/C, C = exp(Q) and Q = -log H; (i-1) R_i = -H_i gives R's scale.
+SUBSTITUTIONS = {
+    ("e", "p"): (1, _one, lambda i: Fraction((-1) ** (i - 1), i), _one),
+    ("h", "p"): (1, _one, lambda i: Fraction(1, i), _one),
+    ("p", "e"): (1, _log1p, _one, lambda n: (-1) ** (n - 1) * n),
+    ("p", "h"): (1, _log1p, _one, lambda n: n),
+    ("C", "R"): (2, factorial, lambda i: i - 1, _one),
+    ("Q", "R"): (2, lambda l: factorial(l - 1), lambda i: i - 1, _one),
+    ("R", "C"): (2, lambda l: (-1) ** l * factorial(l), _one, lambda n: Fraction(-1, n - 1)),
+    ("R", "Q"): (2, lambda l: (-1) ** l, _one, lambda n: Fraction(-1, n - 1)),
+    ("C", "Q"): (2, _one, _one, _one),
+    ("Q", "C"): (2, _log1p, _one, _one),
+}
+
+
+def generator_in(src: str, dst: str, n: int) -> Expansion:
+    """Generator n of src in the generators of dst, by its SUBSTITUTIONS row."""
+    min_part, phi, weight, scale = SUBSTITUTIONS[src, dst]
+    coeffs = series_coefficients(n, min_part, phi, weight)
+    den, numerators = _numerators(scale(n) * c for c in coeffs.values())
+    return den, dict(zip(coeffs, numerators))
+
+
+def monomial_in(src: str, dst: str, lam: Partition) -> Expansion:
+    """prod_i generator_in(src, dst, lam_i), memoized per suffix of lam."""
+    got = _monomials.get((src, dst, lam))
     if got is None:
         if len(lam) <= 1:
-            got = single(lam[0]) if lam else (1, {(): 1})
+            got = generator_in(src, dst, lam[0]) if lam else (1, {(): 1})
         else:
-            head_den, head = _product_expansion(table, key, lam[:1], single)
-            tail_den, tail = _product_expansion(table, key, lam[1:], single)
+            head_den, head = monomial_in(src, dst, lam[:1])
+            tail_den, tail = monomial_in(src, dst, lam[1:])
             got = (head_den * tail_den, _free_mul(head, tail))
-        table[key, lam] = got
+        _monomials[src, dst, lam] = got
     return got
-
-
-def gen_product_in_p(basis: str, lam: Partition) -> Expansion:
-    """e_lam or h_lam in p, as integer numerators over the denominator prod lam_i!.
-
-    n! h_n = sum over |mu| = n of (n!/z_mu) p_mu, with n!/z_mu the size of the
-    class of cycle type mu; n! e_n carries the sign eps(mu).
-    """
-    def single(n):
-        den = factorial(n)
-        sign = epsilon if basis == "e" else (lambda mu: 1)
-        return den, {mu: sign(mu) * (den // z_factor(mu)) for mu in enumerate_partitions(n)}
-
-    return _product_expansion(_gen_in_p, basis, lam, single)
-
-
-def p_in_gen(basis: str, n: int) -> Expansion:
-    """p_n in the e or h basis by Waring's formula:
-
-    p_n = n [t^n] log(1 + sum_k h_k t^k) = (-1)^(n-1) n [t^n] log(1 + sum_k e_k t^k).
-    """
-    sign = (-1) ** (n - 1) if basis == "e" else 1
-    coeffs = series_coefficients(
-        n, 1, lambda l: sign * n * (-1) ** (l - 1) * factorial(l - 1), lambda i: 1
-    )
-    den, numerators = _numerators(coeffs.values())
-    return den, dict(zip(coeffs, numerators))
 
 
 def _m_times_pn(f: dict[Partition, int], n: int) -> dict[Partition, int]:
@@ -356,16 +367,14 @@ class SymFunc(SparseTerms):
             return den, dict(terms)
         if self.basis == "m":
             return _expand(den, terms, m_in_p)
-        return _expand(den, terms, lambda lam: gen_product_in_p(self.basis, lam))
+        return _expand(den, terms, lambda lam: monomial_in(self.basis, "p", lam))
 
     def _to_basis(self, target: str) -> dict[Partition, Fraction]:
         den, pterms = self._p_numerators()
         if target == "m":
             den, pterms = _expand(den, pterms.items(), lambda mu: (1, p_in_m(mu)))
         elif target != "p":
-            suffixes: dict = {}  # shared by the products of this one conversion
-            den, pterms = _expand(den, pterms.items(), lambda mu: _product_expansion(
-                suffixes, target, mu, lambda n: p_in_gen(target, n)))
+            den, pterms = _expand(den, pterms.items(), lambda mu: monomial_in("p", target, mu))
         return {mu: Fraction(v, den) for mu, v in pterms.items()}
 
     # -- evaluation ----------------------------------------------------------

@@ -27,16 +27,16 @@ def test_kerov_json_bytes(capsys):
 
 # sha256 of the stdout of `kerov --r N --jobs 1` (R basis) for N = 2..31,
 # recorded from a separate implementation of the closed form (suffix memos)
-KEROV_STDOUT_SHA256 = {
-    int(r): digest
-    for r, digest in json.loads(
-        (Path(__file__).parent / "data" / "kerov_stdout_sha256.json").read_text()
-    )["stdout_sha256"].items()
-}
+# and of `kerov --r N --basis C|Q --jobs 1` for N = 2..25, recorded before the
+# generator changes moved to one substitution table
+KEROV_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "kerov_stdout_sha256.json").read_text()
+)
+KEROV_STDOUT_SHA256 = {int(r): digest for r, digest in KEROV_DIGESTS["stdout_sha256"].items()}
 
 
-def kerov_stdout_sha256(capsys, r):
-    code, out, _ = run_cli(capsys, "kerov", "--r", str(r), "--jobs", "1")
+def kerov_stdout_sha256(capsys, r, basis="R"):
+    code, out, _ = run_cli(capsys, "kerov", "--r", str(r), "--basis", basis, "--jobs", "1")
     assert code == 0, r
     return hashlib.sha256(out.encode()).hexdigest()
 
@@ -55,6 +55,14 @@ def test_kerov_stdout_matches_the_committed_digests(capsys):
     assert {r: kerov_stdout_sha256(capsys, r) for r in rs} == {
         r: KEROV_STDOUT_SHA256[r] for r in rs
     }
+
+
+def test_kerov_c_and_q_stdout_match_the_committed_digests(capsys):
+    # K_2..K_21 in C and Q in one process, about 2 s
+    for basis in ("C", "Q"):
+        want = KEROV_DIGESTS["basis_stdout_sha256"][basis]
+        got = {str(r): kerov_stdout_sha256(capsys, r, basis) for r in range(2, 22)}
+        assert got == {r: want[r] for r in got}, basis
 
 
 def test_stretch_kerov_stdout_matches_the_committed_digests(capsys):

@@ -395,14 +395,18 @@ def test_change_generators_roundtrip_random():
 
 
 def test_family_relations_match_numeric_values():
-    # symbolic C_n, Q_n re-expressed over R agree with the numeric per-diagram
-    # values; this ties change_generators to c_values/q_values independently
-    for lam in [(3, 1), (2, 2, 1), (5, 3), (4, 2, 1)]:
-        cv, qv = c_values(lam, 8), q_values(lam, 8)
-        for n in range(2, 9):
-            for family, want in (("C", cv[n]), ("Q", qv[n])):
-                poly = change_generators(CumulantPolynomial.gen(family, n), "R")
-                assert poly.evaluate(free_cumulants(lam, 8)) == want
+    # every generator C_n, Q_n, R_n (2 <= n <= 9) re-expressed in each other
+    # family agrees with the numeric per-diagram values of |lam| <= 9; this
+    # ties all six rows of the substitution table to free_cumulants and the
+    # C(z)/Q(z) recurrences of c_values/q_values independently
+    for lam in (lam for n in range(1, 10) for lam in enumerate_partitions(n)):
+        values = {"R": free_cumulants(lam, 9), "C": c_values(lam, 9), "Q": q_values(lam, 9)}
+        for src in ("R", "C", "Q"):
+            for dst in ("R", "C", "Q"):
+                if dst != src:
+                    for n in range(2, 10):
+                        poly = change_generators(CumulantPolynomial.gen(src, n), dst)
+                        assert poly.evaluate(values[dst]) == values[src][n], (lam, src, dst, n)
 
 
 def test_family_relation_sums():

@@ -9,9 +9,9 @@ import kerovlab.symfunc as symfunc
 from kerovlab.partitions import enumerate_partitions, epsilon, z_factor
 from kerovlab.symfunc import (
     SymFunc,
-    gen_product_in_p,
+    generator_in,
     m_scalar_specialize,
-    p_in_gen,
+    monomial_in,
     p_scalar_specialize,
     phi_hat,
 )
@@ -241,7 +241,7 @@ def test_e_h_products_match_fraction_generator_products():
     for basis in ("e", "h"):
         for d in range(0, 11):
             for lam in enumerate_partitions(d):
-                den, numerators = gen_product_in_p(basis, lam)
+                den, numerators = monomial_in(basis, "p", lam)
                 got = {nu: Fraction(a, den) for nu, a in numerators.items()}
                 assert got == _old_product_in_p(basis, lam), (basis, lam)
 
@@ -267,8 +267,8 @@ def _newton_p_in_h(n):
 
 def test_waring_p_in_gen_matches_newton_recurrences():
     for n in range(1, 13):
-        assert _fractions(p_in_gen("e", n)) == _newton_p_in_e(n), n
-        assert _fractions(p_in_gen("h", n)) == _newton_p_in_h(n), n
+        assert _fractions(generator_in("p", "e", n)) == _newton_p_in_e(n), n
+        assert _fractions(generator_in("p", "h", n)) == _newton_p_in_h(n), n
 
 
 def test_p_scalar_specialize():
