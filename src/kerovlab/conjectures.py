@@ -24,7 +24,6 @@ from math import comb, factorial, perm
 from typing import NamedTuple
 
 from .kerov import (
-    CumulantPolynomial,
     KerovProvider,
     _block_values,
     _evaluation_row,
@@ -143,7 +142,7 @@ def _structural_factors(target: str, k: int, r: int) -> dict[Partition, Fraction
     return {mu: pref * c for mu, c in series_coefficients(r - 2 * k + 1, 2, phi, weight).items()}
 
 
-def predicted_component(target: str, k: int, r: int, func: SymFunc) -> CumulantPolynomial:
+def predicted_component(target: str, k: int, r: int, func: SymFunc) -> SymFunc:
     """K_{r,r-2k+1} as the target's expansion predicts it from func, in its family.
 
     C(r+1,3) times, summed over |mu| = r-2k+1 with parts >= 2:
@@ -153,7 +152,7 @@ def predicted_component(target: str, k: int, r: int, func: SymFunc) -> CumulantP
          entries contribute C_0 = 1, and an entry 1 would give C_1 = 0.
     """
     terms = {mu: fac * func.evaluate(mu) for mu, fac in _structural_factors(target, k, r).items()}
-    return CumulantPolynomial(_TARGET_FAMILY[target], terms)
+    return SymFunc(_TARGET_FAMILY[target], terms)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,7 @@ class TableVerification(NamedTuple):
         }
 
 
-def _first_mismatch(got: CumulantPolynomial, want: CumulantPolynomial) -> dict | None:
+def _first_mismatch(got: SymFunc, want: SymFunc) -> dict | None:
     keys = sorted(set(got.terms) | set(want.terms))
     for mu in keys:
         a = got.terms.get(mu, Fraction(0))
@@ -290,7 +289,6 @@ def verify_table(kind: str, r_range: tuple[int, int], provider: KerovProvider) -
 
 class PositivityReport(NamedTuple):
     negative: list[tuple[Partition, Fraction]]
-    zero_count: int
     positive_count: int
 
     @property
@@ -301,7 +299,6 @@ class PositivityReport(NamedTuple):
         return {
             "ok": self.ok,
             "positive": self.positive_count,
-            "zero": self.zero_count,
             "negative": [
                 {"partition": list(mu), "coef": format_rational(c)}
                 for mu, c in self.negative
@@ -310,11 +307,10 @@ class PositivityReport(NamedTuple):
 
 
 def positivity_report(obj) -> PositivityReport:
-    """Count coefficient signs of a SymFunc or CumulantPolynomial."""
+    """Count coefficient signs of a SymFunc, which holds no zero coefficient."""
     terms = obj.sorted_terms()
     neg = [(mu, c) for mu, c in terms if c < 0]
-    zero = sum(1 for _, c in terms if c == 0)
-    return PositivityReport(neg, zero, len(terms) - len(neg) - zero)
+    return PositivityReport(neg, len(terms) - len(neg))
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,13 @@ int per diagram, so the Python-level work is paid once per block.  At each
 weight a block is the next (live cores - rank) diagrams; a row adds at most
 one pivot, so no row is built past the diagram that completes the rank.
 
-Generator-family conversion is a series substitution in the quotient ring
-where the degree-one generators vanish: with X = sum (i-1) R_i z^i, the
-identities 1/(1-X) = C(z), -log(1-X) = Q(z) and exp(Q(z)) = C(z) give each
-generator of one family as a partition sum over the generators of another.
-Those six rows sit in `symfunc.SUBSTITUTIONS`, the one table that also turns
-e and h into p and back, and `symfunc.monomial_in` memoizes each monomial's
-expansion.  Exact arithmetic runs on integer numerators over one common
-denominator: a conversion, an evaluation or a triple sum scales its rationals
-to integers once and builds one Fraction per output term.
+K_r and its components are SymFuncs in the R, C or Q family, and
+`change_generators` is `SymFunc.convert` held to the families: a series
+substitution in the quotient ring where the degree-one generators vanish,
+read from `symfunc.SUBSTITUTIONS` and memoized by `symfunc.monomial_in`.
+Exact arithmetic runs on integer numerators over one common denominator:
+a conversion, an evaluation or a triple sum scales its rationals to
+integers once and builds one Fraction per output term.
 """
 
 from __future__ import annotations
@@ -50,9 +48,10 @@ from .partitions import (
     unrank_partition,
     z_factor,
 )
-from .symfunc import SparseTerms, _expand, _free_mul, _numerators, _sort_key, monomial_in, phi_hat
+from .symfunc import FAMILIES, SymFunc, _free_mul, _numerators, _sort_key, phi_hat
 
-FAMILIES = ("R", "C", "Q")
+# K_r and its components are SymFuncs in a cumulant family, under this name too
+CumulantPolynomial = SymFunc
 
 CACHE_FORMAT_VERSION = 1
 
@@ -65,61 +64,9 @@ class KerovComputationError(RuntimeError):
     """K_r failed its certificate against the character oracle."""
 
 
-class CumulantPolynomial(SparseTerms):
-    """Polynomial in one generator family, as sparse map monomial -> rational.
-
-    A monomial is the partition of its generator indices; all parts are >= 2
-    (the degree-one generators are identically zero) and the empty partition
-    indexes the constant term.
-    """
-
-    __slots__ = ()
-    TAGS, TAG_NAME, MIN_PART = FAMILIES, "family", 2
-
-    @property
-    def family(self) -> str:
-        return self.tag
-
-    def __add__(self, other: "CumulantPolynomial") -> "CumulantPolynomial":
-        if other.family != self.family:
-            raise ValueError("cannot add polynomials from different families")
-        return CumulantPolynomial(self.family, _free_mul({(): 1}, other.terms, dict(self.terms)))
-
-    def __mul__(self, other: "CumulantPolynomial") -> "CumulantPolynomial":
-        if other.family != self.family:
-            raise ValueError("cannot multiply polynomials from different families")
-        return CumulantPolynomial(self.family, _free_mul(self.terms, other.terms))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CumulantPolynomial):
-            return NotImplemented
-        return self.family == other.family and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.family, tuple(sorted(self.terms.items()))))
-
-    def weight_component(self, s: int) -> "CumulantPolynomial":
-        return CumulantPolynomial(
-            self.family, {mu: c for mu, c in self.terms.items() if sum(mu) == s}
-        )
-
-    def weights(self) -> list[int]:
-        return sorted({sum(mu) for mu in self.terms})
-
-    def evaluate(self, values: dict[int, Fraction]) -> Fraction:
-        """Evaluate with generator i mapped to values[i]: the monomials as
-        shared suffix products, summed as the certificate sums a row."""
-        row = _suffix_products(self.terms, lambda i, v: values[i] * v, Fraction(1))
-        den, (total,) = _block_values(self.terms, [row])
-        return Fraction(total, den)
-
-    def _monomial_text(self, mu: Partition) -> str:
-        return "*".join(f"{self.family}{i}" for i in mu) or "1"
-
-
 class KerovPolynomial(NamedTuple):
     r: int
-    poly: CumulantPolynomial
+    poly: SymFunc
 
 
 def kerov_findings(k: KerovPolynomial) -> list[str]:
@@ -198,28 +145,20 @@ def _closed_form(r: int) -> dict[Partition, Fraction]:
     return {mu: Fraction(v, r * scale) for mu, v in horner((), c).items()}
 
 
-def _suffix_products(monomials, times, one) -> list:
-    """prod_i g_{mu_i} for each monomial mu, with times(i, v) = g_i * v.
-
-    Suffixes of a (parts >= 2)-partition are again such partitions, so each
-    suffix product is computed once and shared.
-    """
-    cache = {(): one}
-
-    def value(mu):
-        v = cache.get(mu)
-        if v is None:
-            v = cache[mu] = times(mu[0], value(mu[1:]))
-        return v
-
-    return [value(mu) for mu in monomials]
-
-
 def _evaluation_row(monomials, cols) -> list[list[int]]:
     """The monomials' columns over a block of diagrams (row i of the result's
     transpose is diagram i's row), from its cumulant columns: cols[k][i] is
-    R_k of diagram i."""
-    return _suffix_products(monomials, lambda i, v: list(map(mul, cols[i], v)), [1] * len(cols[0]))
+    R_k of diagram i.  Suffixes of a (parts >= 2)-partition are again such
+    partitions, so each suffix's column is computed once and shared."""
+    cache = {(): [1] * len(cols[0])}
+
+    def column(mu):
+        v = cache.get(mu)
+        if v is None:
+            v = cache[mu] = list(map(mul, cols[mu[0]], column(mu[1:])))
+        return v
+
+    return [column(mu) for mu in monomials]
 
 
 def _rows(monomials, lams: list[Partition], k_max: int):
@@ -301,7 +240,7 @@ def compute_kerov(r: int) -> KerovPolynomial:
     while len(others) < 10:  # small r: add the next weights, none of them sampled
         n += 1
         others.add(n)
-    kp = KerovPolynomial(r, CumulantPolynomial("R", terms))
+    kp = KerovPolynomial(r, SymFunc("R", terms))
     _verify_held_out(kp, others)
     return kp
 
@@ -359,9 +298,9 @@ def _block_values(terms: dict[Partition, Fraction], rows) -> tuple[int, list[int
     return den, [sum(map(mul, numerators, row)) for row in rows]
 
 
-def graded_component(kp: KerovPolynomial, s: int) -> CumulantPolynomial:
+def graded_component(kp: KerovPolynomial, s: int) -> SymFunc:
     """The weight-s part K_{r,s}; the zero polynomial when nothing has weight s."""
-    return kp.poly.weight_component(s)
+    return SymFunc(kp.poly.basis, {mu: c for mu, c in kp.poly.terms.items() if sum(mu) == s})
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +308,11 @@ def graded_component(kp: KerovPolynomial, s: int) -> CumulantPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def change_generators(poly: CumulantPolynomial, target: str) -> CumulantPolynomial:
-    """Re-express a polynomial in another generator family, exactly, each
-    source monomial by its memoized expansion `symfunc.monomial_in`."""
+def change_generators(poly: SymFunc, target: str) -> SymFunc:
+    """Re-express a polynomial in another generator family, exactly."""
     if target not in FAMILIES:
         raise ValueError(f"unknown family {target!r}")
-    if target == poly.family:
-        return poly
-    den, numerators = _numerators(poly.terms.values())
-    den, out = _expand(den, zip(poly.terms, numerators),
-                       lambda mu: monomial_in(poly.family, target, mu))
-    return CumulantPolynomial(target, {nu: Fraction(v, den) for nu, v in out.items()})
+    return poly.convert(target)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +320,13 @@ def change_generators(poly: CumulantPolynomial, target: str) -> CumulantPolynomi
 # ---------------------------------------------------------------------------
 
 
-def krr1_closed_form(r: int) -> CumulantPolynomial:
+def krr1_closed_form(r: int) -> SymFunc:
     """Weight r-1 component: (1/4) C(r+1,3) sum l(mu)! script-R_mu over |mu| = r-1."""
     if r < 2:
         raise ValueError("r must be >= 2")
     pref = Fraction(comb(r + 1, 3), 4)
     terms = series_coefficients(r - 1, 2, factorial, lambda i: i - 1)
-    return CumulantPolynomial("R", {mu: pref * c for mu, c in terms.items()})
+    return SymFunc("R", {mu: pref * c for mu, c in terms.items()})
 
 
 def a_coeff(r: int) -> Fraction:
@@ -404,7 +337,7 @@ def b_coeff(r: int) -> Fraction:
     return Fraction(2 * r * r - 3, 480)
 
 
-def krr3_closed_form(r: int) -> CumulantPolynomial:
+def krr3_closed_form(r: int) -> SymFunc:
     """Weight r-3 component via the triple C-sum with weight a(r) + b(r) i^2."""
     if r < 5:
         raise ValueError("r must be >= 5")
@@ -412,7 +345,7 @@ def krr3_closed_form(r: int) -> CumulantPolynomial:
     return change_generators(c_poly, "R")
 
 
-def triple_sum_bruteforce(a, b, c, n: int) -> CumulantPolynomial:
+def triple_sum_bruteforce(a, b, c, n: int) -> SymFunc:
     """sum over (i,j,k) with i+j+k = n of (a + b i + c i^2) C_i C_j C_k.
 
     Triples containing 1 drop out (C_1 = 0); zeros contribute C_0 = 1.  The
@@ -420,10 +353,10 @@ def triple_sum_bruteforce(a, b, c, n: int) -> CumulantPolynomial:
     """
     d, (a, b, c) = _numerators(map(Fraction, (a, b, c)))
     sums = triple_sums(n, lambda i: a + b * i + c * i * i)  # d times each summed weight
-    return CumulantPolynomial("C", {mu: Fraction(v, d) for mu, v in sums.items() if 1 not in mu})
+    return SymFunc("C", {mu: Fraction(v, d) for mu, v in sums.items() if 1 not in mu})
 
 
-def weighted_triple_sum(a, b, c, n: int, family: str) -> CumulantPolynomial:
+def weighted_triple_sum(a, b, c, n: int, family: str) -> SymFunc:
     """Closed form of the weighted triple C-sum in the R or Q family.
 
     R form: (l(mu)+2)! phi_hat(mu) script-R_mu summed over |mu| = n;
@@ -447,7 +380,7 @@ def weighted_triple_sum(a, b, c, n: int, family: str) -> CumulantPolynomial:
         for mu in enumerate_partitions(n, 2):
             value = 9 * a + 3 * b * n + c * (n * n + 2 * power_sum_value(2, mu))
             terms[mu] = Fraction(3 ** len(mu) * value, 9 * d * mult_factorial(mu))
-    return CumulantPolynomial(family, terms)
+    return SymFunc(family, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +414,7 @@ class KerovProvider:
             self._keep([compute_kerov(r)])
         return self._mem[r]
 
-    def component(self, r: int, s: int, family: str = "R") -> CumulantPolynomial:
+    def component(self, r: int, s: int, family: str = "R") -> SymFunc:
         comp = graded_component(self.get(r), s)
         return change_generators(comp, family)
 
@@ -525,7 +458,7 @@ class KerovProvider:
                 or not all(isinstance(p, int) for t in terms for p in t["partition"])
             ):
                 return None  # another version or r, or a wrong shape: regenerate
-            kp = KerovPolynomial(r, CumulantPolynomial.from_terms_json("R", terms))
+            kp = KerovPolynomial(r, SymFunc.from_terms_json("R", terms))
         except (ValueError, KeyError, OSError):
             return None  # partial or corrupt file: regenerate
         self._mem[r] = kp

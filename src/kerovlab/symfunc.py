@@ -1,20 +1,22 @@
-"""Exact symmetric functions in the m / p / e / h bases.
+"""Exact polynomials in the m / p / e / h bases and the R / C / Q families.
 
 A SymFunc is a sparse map from index partitions to rational coefficients,
-tagged with the basis it is written in; SparseTerms, the term map it shares
-with the cumulant polynomials, owns cleaning, text and JSON.  Power sums are
-the reference basis: multiplication and equality go through p, where the
-algebra is free and a product of basis elements is concatenation of the index
-partitions.  Every multiplicative change of generators, e/h to and from p and
-among the cumulant families R, C and Q, is one series substitution: a row of
-SUBSTITUTIONS gives each generator as a partition sum (`generator_in`), and
-one memo holds each monomial's expansion as a suffix product (`monomial_in`).
-Evaluation at an integer vector is direct integer substitution in the
-function's own basis, with no basis change.  Exact arithmetic runs on integer
-numerators over one common denominator (`_numerators`, `_expand`): every
-cached expansion is a denominator and integer numerators, and a conversion or
-evaluation builds one Fraction per output term.  Inhomogeneous values are
-first class; the empty partition indexes the constant term.
+tagged with its basis: one of the four bases of the symmetric functions, or
+one of the three cumulant families, which span the quotient ring where the
+degree-one generators vanish.  +, - and * stay in one basis, where a product
+of generators is concatenation of the index partitions (m, which is not
+multiplicative, multiplies through p).  Every multiplicative change of
+generators, e/h to and from p and among R, C and Q, is one series
+substitution: a row of SUBSTITUTIONS gives each generator as a partition sum
+(`generator_in`), and one memo holds each monomial's expansion as a suffix
+product (`monomial_in`).  `convert` runs every change of generators within a
+ring, through p when neither end is p; == compares in the ring's hub, p or R.
+Evaluation is direct integer substitution in the polynomial's own basis.
+Exact arithmetic runs on integer numerators over one common denominator
+(`_numerators`, `_expand`): every cached expansion is a denominator and
+integer numerators, and a conversion or evaluation builds one Fraction per
+output term.  Inhomogeneous values are first class; the empty partition
+indexes the constant term.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from .partitions import (
 )
 
 BASES = ("m", "p", "e", "h")
+FAMILIES = ("R", "C", "Q")
+# each basis's hub, the basis its ring compares in: p for the symmetric
+# functions, R for the quotient ring of the cumulant families
+_HUB = dict.fromkeys(BASES, "p") | dict.fromkeys(FAMILIES, "R")
 
 # ---------------------------------------------------------------------------
 # expansion caches (idempotent fill: recomputation yields identical entries)
@@ -225,7 +231,7 @@ def _generator_values(basis: str, v: Partition, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# sparse term maps and SymFunc
+# SymFunc: one sparse polynomial type for every generator set
 # ---------------------------------------------------------------------------
 
 
@@ -237,58 +243,165 @@ def _sort_key(lam: Partition):
 def _parse_rational(text) -> Fraction:
     """The "num" or "num/den" text of format_rational, parsed as integers."""
     num, _, den = str(text).partition("/")
-    return Fraction(int(num), int(den or 1))
+    den = int(den or 1)
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), den)
 
 
-class SparseTerms:
-    """A sparse map from partitions to nonzero rationals, tagged with one of
-    the subclass's TAGS: the basis or generator family the partitions index.
+def _route(src: str, dst: str) -> list[tuple[str, str]]:
+    """The conversion steps from src to dst: one, or two through p when
+    neither end of a change of bases is p."""
+    if src == dst:
+        return []
+    if "p" in (src, dst) or src in FAMILIES:
+        return [(src, dst)]
+    return [(src, "p"), ("p", dst)]
 
-    The empty partition indexes the constant term.  Parts below MIN_PART are
-    rejected, and a generator of such an index is zero.  A subclass names its
-    monomials in `_monomial_text` and defines its own ring operations.
+
+def _step(src: str, dst: str):
+    """One step's expansion of each index partition, as (den, numerators)."""
+    if src == "m":
+        return m_in_p
+    if dst == "m":
+        return lambda mu: (1, p_in_m(mu))
+    return lambda lam: monomial_in(src, dst, lam)
+
+
+class SymFunc:
+    """A polynomial in one of seven generator sets: a sparse map from index
+    partitions to nonzero rationals, tagged with its basis.
+
+    The bases m, p, e and h span the symmetric functions; the families R, C
+    and Q span the quotient ring where the degree-one generators vanish, so
+    their parts are >= 2.  The empty partition indexes the constant term.
+    +, - and * need equal bases, convert stays within a ring, and
+    polynomials of different rings compare unequal.
     """
 
-    __slots__ = ("tag", "terms")
-    TAGS: tuple[str, ...]
-    TAG_NAME: str
-    MIN_PART = 1
+    __slots__ = ("basis", "terms")
 
-    def __init__(self, tag: str, terms=None):
-        if tag not in self.TAGS:
-            raise ValueError(f"unknown {self.TAG_NAME} {tag!r}")
-        self.tag = tag
+    def __init__(self, basis: str, terms=None):
+        if basis not in _HUB:
+            raise ValueError(f"unknown basis {basis!r}")
+        min_part = 1 if _HUB[basis] == "p" else 2
+        self.basis = basis
         clean: dict[Partition, Fraction] = {}
         for lam, c in (terms or {}).items():
             if type(c) is not Fraction:
                 c = Fraction(c)
             if c:
                 lam = check_partition(lam)
-                if lam and lam[-1] < self.MIN_PART:
-                    raise ValueError(f"monomial {lam} has a part < {self.MIN_PART}")
+                if lam and lam[-1] < min_part:
+                    raise ValueError(f"monomial {lam} has a part < {min_part}")
                 clean[lam] = c
         self.terms = clean
 
     @classmethod
-    def zero(cls, tag: str):
-        return cls(tag, {})
+    def zero(cls, basis: str) -> "SymFunc":
+        return cls(basis, {})
 
     @classmethod
-    def gen(cls, tag: str, n: int):
-        """The generator of index n; n = 0 gives the constant 1."""
+    def constant(cls, c, basis: str = "p") -> "SymFunc":
+        return cls(basis, {(): c})
+
+    @classmethod
+    def gen(cls, basis: str, n: int) -> "SymFunc":
+        """The generator of index n; n = 0 gives the constant 1, and a degree-one
+        generator of a family is zero."""
         if n < 0:
             raise ValueError("generator index must be nonnegative")
-        return cls(tag, {} if 0 < n < cls.MIN_PART else {() if n == 0 else (n,): 1})
+        return cls(basis, {} if n == 1 and basis in FAMILIES else {() if n == 0 else (n,): 1})
 
-    def scale(self, c):
+    def weights(self) -> list[int]:
+        return sorted({sum(lam) for lam in self.terms})
+
+    # -- ring structure ------------------------------------------------------
+
+    def _same_basis(self, other: "SymFunc", op: str) -> None:
+        if other.basis != self.basis:
+            raise ValueError(f"cannot {op} {self.basis} and {other.basis}: convert one first")
+
+    def scale(self, c) -> "SymFunc":
         c = Fraction(c)
-        return type(self)(self.tag, {lam: c * v for lam, v in self.terms.items()})
+        return SymFunc(self.basis, {lam: c * v for lam, v in self.terms.items()})
 
-    def __neg__(self):
+    def __neg__(self) -> "SymFunc":
         return self.scale(-1)
 
-    def __sub__(self, other):
+    def __add__(self, other: "SymFunc") -> "SymFunc":
+        self._same_basis(other, "add")
+        return SymFunc(self.basis, _free_mul({(): 1}, other.terms, dict(self.terms)))
+
+    def __sub__(self, other: "SymFunc") -> "SymFunc":
         return self + (-other)
+
+    def __mul__(self, other: "SymFunc") -> "SymFunc":
+        """Concatenation of index partitions; m, not multiplicative, goes through p."""
+        self._same_basis(other, "multiply")
+        if self.basis == "m":
+            return (self.convert("p") * other.convert("p")).convert("m")
+        return SymFunc(self.basis, _free_mul(self.terms, other.terms))
+
+    def __eq__(self, other) -> bool:
+        """Equal as functions: across bases of one ring, on the integer
+        numerators in its hub; bases of different rings are never equal."""
+        if not isinstance(other, SymFunc):
+            return NotImplemented
+        if other.basis == self.basis:
+            return self.terms == other.terms
+        hub = _HUB[self.basis]
+        if _HUB[other.basis] != hub:
+            return False
+        (d, f), (e, g) = self._numerators_in(hub), other._numerators_in(hub)
+        return f.keys() == g.keys() and all(a * e == g[mu] * d for mu, a in f.items())
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.convert(_HUB[self.basis]).terms.items())))
+
+    # -- change of generators ------------------------------------------------
+
+    def convert(self, target: str) -> "SymFunc":
+        """The same polynomial in the generators of target, a basis of its ring."""
+        if target not in _HUB:
+            raise ValueError(f"unknown basis {target!r}")
+        if _HUB[target] != _HUB[self.basis]:
+            raise ValueError(f"cannot convert {self.basis} to {target}: another ring")
+        if target == self.basis:
+            return self
+        den, terms = self._numerators_in(target)
+        return SymFunc(target, {mu: Fraction(v, den) for mu, v in terms.items()})
+
+    def _numerators_in(self, target: str) -> Expansion:
+        """The polynomial in target, as integer numerators over one denominator."""
+        den, numerators = _numerators(self.terms.values())
+        terms = dict(zip(self.terms, numerators))
+        for src, dst in _route(self.basis, target):
+            den, terms = _expand(den, terms.items(), _step(src, dst))
+        return den, terms
+
+    # -- evaluation ----------------------------------------------------------
+
+    def evaluate(self, v) -> Fraction:
+        """The value at a point, by direct substitution with no basis change.
+
+        For m, p, e and h, v is a partition: x_1..x_l are its entries and the
+        rest 0; m_rho(v) comes from `monomial_value`, a p/e/h product from the
+        generator values at v.  For R, C and Q, v maps each generator index to
+        its value.
+        """
+        if self.basis == "m":
+            values = (monomial_value(lam, v) for lam in self.terms)
+        else:
+            g = v
+            if self.basis in BASES:
+                top = max((lam[0] for lam in self.terms if lam), default=0)
+                g = _generator_values(self.basis, v, top)
+            values = (prod(g[part] for part in lam) for lam in self.terms)
+        den, numerators = _numerators(self.terms.values())
+        return Fraction(sum(map(mul, numerators, values)), den)
+
+    # -- serialization -------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Partition, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
@@ -300,8 +413,20 @@ class SparseTerms:
         ]
 
     @classmethod
-    def from_terms_json(cls, tag: str, terms: list[dict]):
-        return cls(tag, {tuple(t["partition"]): _parse_rational(t["coef"]) for t in terms})
+    def from_terms_json(cls, basis: str, terms: list[dict]) -> "SymFunc":
+        return cls(basis, {tuple(t["partition"]): _parse_rational(t["coef"]) for t in terms})
+
+    def to_json_dict(self) -> dict:
+        return {"basis": self.basis, "terms": self.terms_json()}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "SymFunc":
+        return cls.from_terms_json(data["basis"], data["terms"])
+
+    def _monomial_text(self, lam: Partition) -> str:
+        if self.basis in FAMILIES:
+            return "*".join(f"{self.basis}{i}" for i in lam) or "1"
+        return f"{self.basis}[{format_partition(lam)}]"
 
     def to_text(self) -> str:
         if not self.terms:
@@ -311,100 +436,7 @@ class SparseTerms:
         )
 
     def __repr__(self):
-        return f"{type(self).__name__}[{self.tag}]({self.to_text()})"
-
-
-class SymFunc(SparseTerms):
-    """A symmetric function: basis tag plus sparse partition -> rational map."""
-
-    __slots__ = ()
-    TAGS, TAG_NAME = BASES, "basis"
-
-    @property
-    def basis(self) -> str:
-        return self.tag
-
-    @classmethod
-    def constant(cls, c, basis: str = "p") -> "SymFunc":
-        return cls(basis, {(): c})
-
-    # -- ring structure ------------------------------------------------------
-
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        if other.basis != self.basis:
-            other = other.convert(self.basis)
-        return SymFunc(self.basis, _free_mul({(): 1}, other.terms, dict(self.terms)))
-
-    def __mul__(self, other: "SymFunc") -> "SymFunc":
-        """Product, computed in p where multiplication is concatenation."""
-        a = self.convert("p").terms
-        b = other.convert("p").terms
-        return SymFunc("p", _free_mul(a, b)).convert(self.basis)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        (d, f), (e, g) = self._p_numerators(), other._p_numerators()
-        return f.keys() == g.keys() and all(a * e == g[mu] * d for mu, a in f.items())
-
-    def __hash__(self):
-        return hash((("p"), tuple(sorted(self.convert("p").terms.items()))))
-
-    # -- basis conversion ----------------------------------------------------
-
-    def convert(self, target: str) -> "SymFunc":
-        if target not in BASES:
-            raise ValueError(f"unknown basis {target!r}")
-        if target == self.basis:
-            return self
-        return SymFunc(target, self._to_basis(target))
-
-    def _p_numerators(self) -> Expansion:
-        """The function in p, as integer numerators over one denominator."""
-        den, numerators = _numerators(self.terms.values())
-        terms = zip(self.terms, numerators)
-        if self.basis == "p":
-            return den, dict(terms)
-        if self.basis == "m":
-            return _expand(den, terms, m_in_p)
-        return _expand(den, terms, lambda lam: monomial_in(self.basis, "p", lam))
-
-    def _to_basis(self, target: str) -> dict[Partition, Fraction]:
-        den, pterms = self._p_numerators()
-        if target == "m":
-            den, pterms = _expand(den, pterms.items(), lambda mu: (1, p_in_m(mu)))
-        elif target != "p":
-            den, pterms = _expand(den, pterms.items(), lambda mu: monomial_in("p", target, mu))
-        return {mu: Fraction(v, den) for mu, v in pterms.items()}
-
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, v: Partition) -> Fraction:
-        """Specialize x_1..x_l to the entries of v and the rest to 0.
-
-        Direct integer substitution, with no basis change: m_rho(v) by
-        `monomial_value`, a p/e/h product from the generator values at v.
-        """
-        if self.basis == "m":
-            values = (monomial_value(lam, v) for lam in self.terms)
-        else:
-            top = max((lam[0] for lam in self.terms if lam), default=0)
-            g = _generator_values(self.basis, v, top)
-            values = (prod(g[part] for part in lam) for lam in self.terms)
-        den, numerators = _numerators(self.terms.values())
-        return Fraction(sum(map(mul, numerators, values)), den)
-
-    # -- serialization -------------------------------------------------------
-
-    def _monomial_text(self, lam: Partition) -> str:
-        return f"{self.basis}[{format_partition(lam)}]"
-
-    def to_json_dict(self) -> dict:
-        return {"basis": self.basis, "terms": self.terms_json()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SymFunc":
-        return cls.from_terms_json(data["basis"], data["terms"])
+        return f"SymFunc[{self.basis}]({self.to_text()})"
 
 
 # ---------------------------------------------------------------------------

@@ -176,9 +176,11 @@ def test_stale_cache_recomputed(capsys, tmp_path):
     '{"format_version":1,"r":5,"terms":{"a":1}}',
     '{"format_version":1,"r":5,"terms":[{"partition":5,"coef":"1"}]}',
     '{"format_version":1,"r":5,"terms":[{"partition":[[2]],"coef":"1"}]}',
-], ids=["list", "terms-dict", "partition-int", "partition-nested"])
+    '{"format_version":1,"r":5,"terms":[{"partition":[6],"coef":"1/0"}]}',
+], ids=["list", "terms-dict", "partition-int", "partition-nested", "zero-denominator"])
 def test_wrong_shaped_cache_file_is_recomputed(capsys, tmp_path, payload):
-    # valid JSON of the wrong shape is a stale file, not a crash
+    # valid JSON of the wrong shape, or with a coefficient that does not
+    # parse, is a stale file, not a crash
     _, want, _ = run_cli(capsys, "kerov", "--r", "5", "--jobs", "1")
     (tmp_path / "kerov_r5.json").write_text(payload)
     code, out, _ = run_cli(capsys, "kerov", "--r", "5", "--jobs", "1", "--cache-dir", str(tmp_path))

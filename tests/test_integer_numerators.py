@@ -201,7 +201,7 @@ def _old_monomial(src, dst, mu):
 def _old_change_generators(poly, target):
     out = {}
     for mu, c in poly.terms.items():
-        _free_mul({(): c}, _old_monomial(poly.family, target, mu), out)
+        _free_mul({(): c}, _old_monomial(poly.basis, target, mu), out)
     return out
 
 

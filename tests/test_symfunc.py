@@ -335,3 +335,43 @@ def test_non_triangular_transition_is_an_error(monkeypatch):
     monkeypatch.setattr(symfunc, "p_in_m", lambda mu: {(1, 1, 1): 1})
     with pytest.raises(RuntimeError, match="not triangular"):
         symfunc._fill_m_to_p(3)
+
+
+# ---------------------------------------------------------------------------
+# one class for the bases m/p/e/h and the families R/C/Q
+# ---------------------------------------------------------------------------
+
+
+def test_ring_operations_need_equal_bases():
+    e2, p2 = SymFunc.gen("e", 2), SymFunc.gen("p", 2)
+    r2, c2 = SymFunc.gen("R", 2), SymFunc.gen("C", 2)
+    for f, g in ((e2, p2), (r2, c2)):
+        with pytest.raises(ValueError):
+            f + g
+        with pytest.raises(ValueError):
+            f * g
+
+
+def test_convert_stays_in_its_ring():
+    with pytest.raises(ValueError):
+        SymFunc.gen("p", 2).convert("R")
+    with pytest.raises(ValueError):
+        SymFunc.gen("Q", 3).convert("m")
+
+
+def test_family_change_compares_equal_with_equal_hash(provider):
+    from kerovlab.kerov import change_generators, graded_component
+
+    for r in range(2, 11):
+        kp = provider.get(r)
+        for s in kp.poly.weights():
+            c = graded_component(kp, s)
+            there = change_generators(c, "C")
+            assert there == c and c == there, (r, s)
+            assert hash(there) == hash(c), (r, s)
+
+
+def test_polynomials_of_different_rings_compare_unequal():
+    m, r = SymFunc("m", {(2,): 1}), SymFunc("R", {(2,): 1})
+    assert m != r and r != m
+    assert not (SymFunc.zero("m") == SymFunc.zero("R"))
