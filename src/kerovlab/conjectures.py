@@ -25,30 +25,22 @@ from typing import NamedTuple
 
 from .kerov import (
     KerovProvider,
-    _block_values,
-    _evaluation_row,
     change_generators,
+    character_mismatches,
     kerov_findings,
     krr1_closed_form,
     krr3_closed_form,
     triple_sum_bruteforce,
     weighted_triple_sum,
 )
-from .characters import normalized_character
-from .cumulants import _cumulant_list
 from .linalg import FractionEchelon
 from .partitions import (
     Partition,
     enumerate_partitions,
-    epsilon,
     format_partition,
     format_rational,
-    mult_factorial,
     parse_partition,
-    power_sum_value,
     series_coefficients,
-    triple_sums,
-    z_factor,
 )
 from .symfunc import SymFunc, monomial_value
 
@@ -318,47 +310,24 @@ def positivity_report(obj) -> PositivityReport:
 # ---------------------------------------------------------------------------
 
 
-def _eee_sum(n: int, weight: str = "1") -> SymFunc:
-    """sum over (i,j,k) in N^3 with i+j+k = n of w(i) e_i e_j e_k.
-
-    weight "1" takes w = 1 and weight "i2" takes w(i) = i^2.
-    """
-    return SymFunc("e", triple_sums(n, (lambda i: i * i) if weight == "i2" else (lambda i: 1)))
-
-
 def lemma_triple_e_in_p(n: int) -> tuple[SymFunc, SymFunc]:
     """The plain triple e-sum and its power-sum form with factor 3^l(mu)."""
-    rhs = {mu: Fraction(epsilon(mu) * 3 ** len(mu), z_factor(mu)) for mu in enumerate_partitions(n)}
-    return _eee_sum(n), SymFunc("p", rhs)
+    return triple_sum_bruteforce(1, 0, 0, n, "e"), weighted_triple_sum(1, 0, 0, n, "p")
 
 
 def lemma_triple_e_in_p_weighted(n: int) -> tuple[SymFunc, SymFunc]:
     """The i^2-weighted triple e-sum against 3^(l-2) (n^2 + 2 p_2(mu))."""
-    rhs = {
-        mu: Fraction(epsilon(mu) * 3 ** len(mu) * (n * n + 2 * power_sum_value(2, mu)),
-                     9 * z_factor(mu))
-        for mu in enumerate_partitions(n)
-    }
-    return _eee_sum(n, "i2"), SymFunc("p", rhs)
+    return triple_sum_bruteforce(0, 0, 1, n, "e"), weighted_triple_sum(0, 0, 1, n, "p")
 
 
 def lemma_triple_e_in_h(n: int) -> tuple[SymFunc, SymFunc]:
     """The plain triple e-sum against (1/2) (l(mu)+2)!/prod m_i! h_mu."""
-    rhs = {
-        mu: Fraction(epsilon(mu) * factorial(len(mu) + 2), 2 * mult_factorial(mu))
-        for mu in enumerate_partitions(n)
-    }
-    return _eee_sum(n), SymFunc("h", rhs)
+    return triple_sum_bruteforce(1, 0, 0, n, "e"), weighted_triple_sum(1, 0, 0, n, "h")
 
 
 def lemma_triple_e_in_h_weighted(n: int) -> tuple[SymFunc, SymFunc]:
     """The i^2-weighted triple e-sum against (1/12)(n^2 + p_2(mu)) h_mu form."""
-    rhs = {
-        mu: Fraction(epsilon(mu) * factorial(len(mu) + 2) * (n * n + power_sum_value(2, mu)),
-                     12 * mult_factorial(mu))
-        for mu in enumerate_partitions(n)
-    }
-    return _eee_sum(n, "i2"), SymFunc("h", rhs)
+    return triple_sum_bruteforce(0, 0, 1, n, "e"), weighted_triple_sum(0, 0, 1, n, "h")
 
 
 # ---------------------------------------------------------------------------
@@ -455,23 +424,13 @@ def _suite_positivity_family(family: str):
 
 def _suite_kerov_theorem(provider: KerovProvider, lo: int, hi: int) -> SuiteReport:
     lam_max = 11
-    findings = []
-    checked = 0
+    findings, checked = [], 0
     for n in range(2, lam_max + 1):
         lams = enumerate_partitions(n)
-        rs = range(lo, min(n, hi) + 1)
-        cols = _cumulant_list(lams, min(n, hi) + 1)  # one block per weight
-        values = {}  # r -> K_r's denominator and its numerators on the block
-        for r in rs:
-            terms = provider.get(r).poly.terms
-            values[r] = _block_values(terms, zip(*_evaluation_row(list(terms), cols)))
-        for i, lam in enumerate(lams):
-            for r in rs:
-                checked += 1
-                den, got = values[r][0], values[r][1][i]
-                want = normalized_character(lam, r)
-                if got * want.denominator != want.numerator * den:
-                    findings.append(f"K_{r} at lambda={lam}: {Fraction(got, den)} != {want}")
+        kps = [provider.get(r) for r in range(lo, min(n, hi) + 1)]
+        checked += len(lams) * len(kps)
+        findings.extend(f"K_{r} at lambda={lam}: {got} != {want}"
+                        for lam, r, got, want in character_mismatches(kps, lams))
     return SuiteReport(
         "kerov-theorem", not findings, findings, {"lambda_max": lam_max, "checked": checked}
     )

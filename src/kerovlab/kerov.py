@@ -15,9 +15,11 @@ K_r and its components are SymFuncs in the R, C or Q family, and
 `change_generators` is `SymFunc.convert` held to the families: a series
 substitution in the quotient ring where the degree-one generators vanish,
 read from `symfunc.SUBSTITUTIONS` and memoized by `symfunc.monomial_in`.
-Exact arithmetic runs on integer numerators over one common denominator:
-a conversion, an evaluation or a triple sum scales its rationals to
-integers once and builds one Fraction per output term.
+Every weighted triple sum's closed form (of the C_i in R or Q, of the e_i
+in h or p) is one row of TRIPLE_FORMS, and `character_mismatches` checks K_r
+against the characters a block of diagrams at a time.  Exact arithmetic runs
+on integer numerators over one common denominator: a conversion, an
+evaluation or a triple sum builds one Fraction per output term.
 """
 
 from __future__ import annotations
@@ -43,12 +45,11 @@ from .partitions import (
     mult_factorial,
     partition_count,
     power_sum_value,
-    series_coefficients,
     triple_sums,
     unrank_partition,
     z_factor,
 )
-from .symfunc import FAMILIES, SymFunc, _free_mul, _numerators, _sort_key, phi_hat
+from .symfunc import FAMILIES, SymFunc, _free_mul, _numerators, _sort_key
 
 # K_r and its components are SymFuncs in a cumulant family, under this name too
 CumulantPolynomial = SymFunc
@@ -277,25 +278,37 @@ class _Diagrams(Sequence):
 
 
 def _verify_held_out(kp: KerovPolynomial, pool: Sequence[Partition]) -> list[Partition]:
-    """Evaluate the polynomial at the free cumulants of ten seeded diagrams of
-    the pool against the oracle, as one block; returns the ten."""
+    """Check the polynomial against the oracle on ten seeded diagrams of the
+    pool, as one block; returns the ten."""
     r = kp.r
     picks = random.Random(10_000 + r).sample(pool, 10)
-    den, values = _block_values(kp.poly.terms, _rows(list(kp.poly.terms), picks, r + 1))
-    for lam, got in zip(picks, values):
-        want = normalized_character(lam, r)
-        if got * want.denominator != want.numerator * den:
-            raise KerovComputationError(
-                f"K_{r}: held-out check failed at lambda={lam}: {Fraction(got, den)} != {want}"
-            )
+    for lam, _, got, want in character_mismatches([kp], picks):
+        raise KerovComputationError(
+            f"K_{r}: held-out check failed at lambda={lam}: {got} != {want}"
+        )
     return picks
 
 
-def _block_values(terms: dict[Partition, Fraction], rows) -> tuple[int, list[int]]:
-    """The lcm d of the coefficients' denominators and d times the polynomial
-    on each diagram's row of monomial values, columns in the order of terms."""
-    den, numerators = _numerators(terms.values())
-    return den, [sum(map(mul, numerators, row)) for row in rows]
+def character_mismatches(kps: Sequence[KerovPolynomial], lams: Sequence[Partition]):
+    """(lam, r, K_r(lam), chi) wherever K_r differs from the normalized
+    character, diagram by diagram and then in the order of kps.  One block of
+    free cumulants per ROW_CHUNK diagrams serves every K_r, each evaluated on
+    it as its integer numerators dotted with its monomials' columns."""
+    if not kps:
+        return
+    forms = [(kp.r, list(kp.poly.terms), *_numerators(kp.poly.terms.values())) for kp in kps]
+    k_max = max(kp.r for kp in kps) + 1
+    for i in range(0, len(lams), ROW_CHUNK):
+        block = lams[i:i + ROW_CHUNK]
+        cols = _cumulant_list(block, k_max)
+        values = [(r, den, [sum(map(mul, numerators, row))
+                            for row in zip(*_evaluation_row(monomials, cols))])
+                  for r, monomials, den, numerators in forms]
+        for j, lam in enumerate(block):
+            for r, den, got in values:
+                want = normalized_character(lam, r)
+                if got[j] * want.denominator != want.numerator * den:
+                    yield lam, r, Fraction(got[j], den), want
 
 
 def graded_component(kp: KerovPolynomial, s: int) -> SymFunc:
@@ -321,12 +334,10 @@ def change_generators(poly: SymFunc, target: str) -> SymFunc:
 
 
 def krr1_closed_form(r: int) -> SymFunc:
-    """Weight r-1 component: (1/4) C(r+1,3) sum l(mu)! script-R_mu over |mu| = r-1."""
+    """Weight r-1 component: (1/4) C(r+1,3) C_{r-1}, in the R family."""
     if r < 2:
         raise ValueError("r must be >= 2")
-    pref = Fraction(comb(r + 1, 3), 4)
-    terms = series_coefficients(r - 1, 2, factorial, lambda i: i - 1)
-    return SymFunc("R", {mu: pref * c for mu, c in terms.items()})
+    return SymFunc.gen("C", r - 1).convert("R").scale(Fraction(comb(r + 1, 3), 4))
 
 
 def a_coeff(r: int) -> Fraction:
@@ -345,42 +356,48 @@ def krr3_closed_form(r: int) -> SymFunc:
     return change_generators(c_poly, "R")
 
 
-def triple_sum_bruteforce(a, b, c, n: int) -> SymFunc:
-    """sum over (i,j,k) with i+j+k = n of (a + b i + c i^2) C_i C_j C_k.
+def triple_sum_bruteforce(a, b, c, n: int, basis: str = "C") -> SymFunc:
+    """sum over (i,j,k) with i+j+k = n of (a + b i + c i^2) X_i X_j X_k, X = C or e.
 
-    Triples containing 1 drop out (C_1 = 0); zeros contribute C_0 = 1.  The
-    weights are summed in integers, with a, b and c over one denominator.
+    Zeros contribute X_0 = 1 and, for C, triples containing 1 drop out (C_1 = 0).
+    The weights are summed in integers, with a, b and c over one denominator.
     """
+    if basis not in ("C", "e"):
+        raise ValueError("basis must be 'C' or 'e'")
     d, (a, b, c) = _numerators(map(Fraction, (a, b, c)))
     sums = triple_sums(n, lambda i: a + b * i + c * i * i)  # d times each summed weight
-    return SymFunc("C", {mu: Fraction(v, d) for mu, v in sums.items() if 1 not in mu})
+    return SymFunc(basis, {mu: Fraction(v, d) for mu, v in sums.items()
+                           if basis == "e" or 1 not in mu})
 
 
-def weighted_triple_sum(a, b, c, n: int, family: str) -> SymFunc:
-    """Closed form of the weighted triple C-sum in the R or Q family.
+# The weighted triple sum of the C_i (in R or Q) or of the e_i (in h or p) is
+# the coefficient of z^n in a G(z)^3, through 1/(1 - X) for R and h and through
+# exp for Q and p.  Each row is basis -> (min_part, phi, weight, denominator,
+# kernel): over |mu| = n with parts >= min_part, the coefficient of g_mu is
+# phi(l(mu)) prod_j weight(mu_j) K(mu) / denominator(mu).  The kernel (q, x, y, v)
+# is K = (x a + y b n + c (n^2 + v p_2(mu))) / q: phi_hat, a/2 + b n/6 +
+# c (n^2 + p_2)/12, for R and h, and a + b n/3 + (c/9)(n^2 + 2 p_2) for Q and p.
+TRIPLE_FORMS = {
+    "R": (2, lambda l: factorial(l + 2), lambda i: i - 1, mult_factorial, (12, 6, 2, 1)),
+    "h": (1, lambda l: factorial(l + 2), lambda i: (-1) ** (i - 1), mult_factorial, (12, 6, 2, 1)),
+    "Q": (2, lambda l: 3**l, lambda i: 1, mult_factorial, (9, 9, 3, 2)),
+    "p": (1, lambda l: 3**l, lambda i: (-1) ** (i - 1), z_factor, (9, 9, 3, 2)),
+}
 
-    R form: (l(mu)+2)! phi_hat(mu) script-R_mu summed over |mu| = n;
-    Q form: 3^l(mu) (a + b n/3 + (c/9)(n^2 + 2 p_2(mu))) script-Q_mu.
-    One Fraction per monomial: with a, b, c = A, B, C over d, the Q coefficient
-    is 3^l (9A + 3Bn + C(n^2 + 2 p_2)) / (9 d prod_i m_i(mu)!).
-    """
-    if family not in ("R", "Q"):
-        raise ValueError("family must be 'R' or 'Q'")
-    terms = {}
-    if family == "R":
-        kernel = phi_hat(a, b, c, n).terms  # its p-terms, evaluated in integers
-        den, numerators = _numerators(kernel.values())
-        for mu in enumerate_partitions(n, 2):
-            value = sum(coef * prod(power_sum_value(k, mu) for k in lam)
-                        for lam, coef in zip(kernel, numerators))
-            fac = factorial(len(mu) + 2) * prod(i - 1 for i in mu)
-            terms[mu] = Fraction(fac * value, den * mult_factorial(mu))
-    else:
-        d, (a, b, c) = _numerators(map(Fraction, (a, b, c)))
-        for mu in enumerate_partitions(n, 2):
-            value = 9 * a + 3 * b * n + c * (n * n + 2 * power_sum_value(2, mu))
-            terms[mu] = Fraction(3 ** len(mu) * value, 9 * d * mult_factorial(mu))
-    return SymFunc(family, terms)
+
+def weighted_triple_sum(a, b, c, n: int, basis: str) -> SymFunc:
+    """Closed form of the weighted triple sum, the C-sum in R or Q or the e-sum
+    in h or p, from its TRIPLE_FORMS row, with one Fraction per monomial."""
+    if basis not in TRIPLE_FORMS:
+        raise ValueError(f"basis must be one of {', '.join(TRIPLE_FORMS)}")
+    min_part, phi, weight, denominator, (q, x, y, v) = TRIPLE_FORMS[basis]
+    d, (a, b, c) = _numerators(map(Fraction, (a, b, c)))  # K = (k0 + k2 p_2) / (q d)
+    k0, k2 = x * a + y * b * n + c * n * n, v * c
+    return SymFunc(basis, {
+        mu: Fraction(phi(len(mu)) * prod(map(weight, mu)) * (k0 + k2 * power_sum_value(2, mu)),
+                     q * d * denominator(mu))
+        for mu in enumerate_partitions(n, min_part)
+    })
 
 
 # ---------------------------------------------------------------------------

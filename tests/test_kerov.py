@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -509,6 +510,12 @@ def test_krr1_examples():
     assert krr1_closed_form(3).terms == {(2,): 1}
     assert krr1_closed_form(4).terms == {(3,): 5}
     assert krr1_closed_form(5).terms == {(4,): 15, (2, 2): 5}
+    # (1/4) C(r+1,3) C_{r-1} against the sum over |mu| = r-1 of l(mu)! R_mu it
+    # expands to, past the r <= 14 that the components of K_r reach
+    for r in range(2, 26):
+        pref = Fraction(comb(r + 1, 3), 4)
+        terms = partitions.series_coefficients(r - 1, 2, factorial, lambda i: i - 1)
+        assert krr1_closed_form(r).terms == {mu: pref * c for mu, c in terms.items()}, r
 
 
 def test_krr3_examples():
@@ -525,6 +532,8 @@ def test_weighted_triple_sum_examples():
     assert weighted_triple_sum(1, 0, 0, 0, "Q").terms == {(): 1}
     with pytest.raises(ValueError):
         weighted_triple_sum(1, 0, 0, 2, "C")
+    with pytest.raises(ValueError):
+        triple_sum_bruteforce(1, 0, 0, 2, "R")
 
 
 def test_weighted_triple_sum_matches_bruteforce():
@@ -535,6 +544,14 @@ def test_weighted_triple_sum_matches_bruteforce():
             brute = triple_sum_bruteforce(a, b, c, n)
             for fam in ("R", "Q"):
                 assert change_generators(brute, fam) == weighted_triple_sum(a, b, c, n, fam)
+    # the e-sum's h and p rows under general weights; the lemmas take only
+    # (1, 0, 0) and (0, 0, 1)
+    for _ in range(6):
+        a, b, c = (Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(3))
+        for n in range(0, 13):
+            brute = triple_sum_bruteforce(a, b, c, n, "e")
+            for basis in ("h", "p"):
+                assert brute == weighted_triple_sum(a, b, c, n, basis), (a, b, c, n, basis)
 
 
 def test_triple_sum_matches_per_triple_fraction_sum():
