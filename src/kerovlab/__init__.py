@@ -4,21 +4,12 @@ from .partitions import (
     Partition,
     conjugate,
     enumerate_partitions,
-    epsilon,
     format_partition,
     parse_partition,
-    u_factor,
     z_factor,
 )
-from .symfunc import SymFunc, m_scalar_specialize, p_scalar_specialize, phi_hat
-from .cumulants import (
-    InterlacingPair,
-    c_values,
-    diagram_to_interlacing,
-    free_cumulants,
-    q_values,
-    resolvent_series,
-)
+from .symfunc import SymFunc
+from .cumulants import c_values, free_cumulants, q_values
 from .characters import dimension, mn_character, normalized_character
 from .kerov import (
     CumulantPolynomial,
@@ -38,21 +29,13 @@ __all__ = [
     "Partition",
     "conjugate",
     "enumerate_partitions",
-    "epsilon",
     "format_partition",
     "parse_partition",
-    "u_factor",
     "z_factor",
     "SymFunc",
-    "m_scalar_specialize",
-    "p_scalar_specialize",
-    "phi_hat",
-    "InterlacingPair",
     "c_values",
-    "diagram_to_interlacing",
     "free_cumulants",
     "q_values",
-    "resolvent_series",
     "dimension",
     "mn_character",
     "normalized_character",

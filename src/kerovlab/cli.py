@@ -3,8 +3,9 @@
 JSON goes to stdout, human-readable summaries to stderr.  Exit codes: 0 all
 checks pass, 1 a mathematical finding (mismatch, negativity, inconsistent
 extraction), 2 usage or internal error.  Identical invocations produce
-byte-identical JSON; the K_r disk cache, set by --cache-dir alone, is
-transparent to results.
+byte-identical JSON.  The K_r disk cache is set by --cache-dir alone; a
+cache file is served as read, without being certified again, until ROADMAP
+item 2 deletes the cache.
 """
 
 from __future__ import annotations

@@ -116,22 +116,26 @@ def load_table(kind: str) -> PaperTable:
 # ---------------------------------------------------------------------------
 
 
-_TARGET_FAMILY = {"f": "R", "g": "Q", "F": "C"}
+# Each target's expansion of K_{r,r-2k+1} as a series row in the shape of
+# symfunc.SUBSTITUTIONS, parts >= 2: target -> (family, phi, weight), where
+# phi takes k and the length l.
+EXPANSIONS = {
+    "f": ("R", lambda k, l: factorial(l + 2 * k - 2), lambda i: i - 1),
+    "g": ("Q", lambda k, l: (2 * k - 1) ** l, lambda i: 1),
+    "F": ("C", lambda k, l: perm(2 * k - 1, l), lambda i: 1),
+}
 
 
-def _structural_factors(target: str, k: int, r: int) -> dict[Partition, Fraction]:
-    """mu -> the factor of func(mu) in predicted_component: C(r+1,3) times
-    phi(l(mu)) prod_j w(mu_j) / prod_i m_i(mu)! over |mu| = r-2k+1, parts >= 2."""
-    if target == "f":
-        phi, weight = (lambda l: factorial(l + 2 * k - 2)), (lambda i: i - 1)
-    elif target == "g":
-        phi, weight = (lambda l: (2 * k - 1) ** l), (lambda i: 1)
-    elif target == "F":
-        phi, weight = (lambda l: perm(2 * k - 1, l)), (lambda i: 1)
-    else:
+def _structural_factors(target: str, k: int, r: int) -> tuple[str, dict[Partition, Fraction]]:
+    """The target's family, and mu -> the factor of func(mu) in
+    predicted_component: C(r+1,3) times phi(l(mu)) prod_j weight(mu_j) /
+    prod_i m_i(mu)! from its EXPANSIONS row, over |mu| = r-2k+1."""
+    if target not in EXPANSIONS:
         raise ValueError(f"unknown target {target!r}")
+    family, phi, weight = EXPANSIONS[target]
     pref = comb(r + 1, 3)
-    return {mu: pref * c for mu, c in series_coefficients(r - 2 * k + 1, 2, phi, weight).items()}
+    coeffs = series_coefficients(r - 2 * k + 1, 2, lambda l: phi(k, l), weight)
+    return family, {mu: pref * c for mu, c in coeffs.items()}
 
 
 def predicted_component(target: str, k: int, r: int, func: SymFunc) -> SymFunc:
@@ -143,8 +147,8 @@ def predicted_component(target: str, k: int, r: int, func: SymFunc) -> SymFunc:
       F: F_k(nu) C_nu over vectors nu in N^(2k-1) that rearrange mu; zero
          entries contribute C_0 = 1, and an entry 1 would give C_1 = 0.
     """
-    terms = {mu: fac * func.evaluate(mu) for mu, fac in _structural_factors(target, k, r).items()}
-    return SymFunc(_TARGET_FAMILY[target], terms)
+    family, factors = _structural_factors(target, k, r)
+    return SymFunc(family, {mu: fac * func.evaluate(mu) for mu, fac in factors.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +192,16 @@ def extract_symfunc(
     the earlier ones are recorded as residual rows rather than raised.  An r
     range with no component (r - 2k + 1 < 0 throughout) is a ValueError.
     """
-    if target not in _TARGET_FAMILY:
-        raise ValueError(f"unknown target {target!r}")
     r_lo, r_hi = r_range
     if r_hi - 2 * k + 1 < 0:
         raise ValueError(f"no r in {r_lo}..{r_hi} has a weight r-2k+1 >= 0 component for k={k}")
-    family = _TARGET_FAMILY[target]
     unknowns = [rho for d in range(4 * (k - 1) + 1) for rho in enumerate_partitions(d)]
     ech = FractionEchelon(len(unknowns))
     residual: list[tuple[int, Partition]] = []
     for r in range(max(r_lo, 2 * k - 1), r_hi + 1):  # r - 2k + 1 >= 0
+        family, factors = _structural_factors(target, k, r)
         comp = provider.component(r, r - 2 * k + 1, family)
-        for mu, fac in _structural_factors(target, k, r).items():
+        for mu, fac in factors.items():
             coef = comp.terms.get(mu, Fraction(0))
             if fac == 0:
                 if coef:
@@ -273,8 +275,9 @@ def verify_table(kind: str, r_range: tuple[int, int], provider: KerovProvider) -
     func = load_table(kind).to_symfunc()
     checks = []
     for r in range(max(r_range[0], 2 * k - 1), r_range[1] + 1):  # r - 2k + 1 >= 0
-        computed = provider.component(r, r - 2 * k + 1, _TARGET_FAMILY[target])
-        mism = _first_mismatch(computed, predicted_component(target, k, r, func))
+        predicted = predicted_component(target, k, r, func)
+        computed = provider.component(r, r - 2 * k + 1, predicted.basis)
+        mism = _first_mismatch(computed, predicted)
         checks.append(TableCheck(r=r, ok=mism is None, first_mismatch=mism))
     return TableVerification(kind=kind, checks=checks)
 

@@ -6,42 +6,20 @@ resolvent is G(z) = prod(z - y_i) / prod(z - x_j), and with u = 1/z its
 moment series is M(u) = G/u = prod(1 - y_i u) / prod(1 - x_j u).  Lagrange
 inversion (Biane, Characters of symmetric groups and free cumulants, LNM
 1815, 2003) gives the free cumulants R_n = -(1/(n-1)) [u^n] M(u)^(1-n), read
-here off the powers of the integer series P = 1/M.  Both series come from
-one routine (_ratio_series).  Everything is integer arithmetic, and the
-kernel works on a block of diagrams at once: each quantity is a column, one
-int per diagram, so the Python-level work is paid once per block.
+here off the powers of the integer series P = 1/M, which _ratio_series
+computes.  Everything is integer arithmetic, and the kernel works on a
+block of diagrams at once: each quantity is a column, one int per diagram,
+so the Python-level work is paid once per block.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
 from math import comb
 from operator import add, floordiv, mul, sub
 
 from .partitions import Partition
-
-
-class InterlacingPair(namedtuple("InterlacingPair", "x y")):
-    """Sequences x (length d) and y (length d-1) with x1 < y1 < x2 < ... < xd.
-
-    The center sum(x) - sum(y) must vanish; diagrams always produce center 0.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, x: tuple[int, ...], y: tuple[int, ...]):
-        if len(x) != len(y) + 1:
-            raise ValueError("x must be one longer than y")
-        merged = [None] * (len(x) + len(y))
-        merged[::2] = x
-        merged[1::2] = y
-        if any(merged[i] >= merged[i + 1] for i in range(len(merged) - 1)):
-            raise ValueError(f"sequences do not interlace: x={x}, y={y}")
-        if sum(x) - sum(y) != 0:
-            raise ValueError("center must be 0")
-        return super().__new__(cls, x, y)
 
 
 def _corners(lam: Partition) -> tuple[list[int], list[int]]:
@@ -59,19 +37,6 @@ def _corners(lam: Partition) -> tuple[list[int], list[int]]:
     return x, y
 
 
-def diagram_to_interlacing(lam: Partition) -> InterlacingPair:
-    """Interlacing pair of a nonempty partition.
-
-    y holds the contents (column - row) of the removable corner boxes, x the
-    contents of the addable corners of the complement; x runs from -l(lam)
-    up to lam_1.
-    """
-    if not lam:
-        raise ValueError("the empty diagram has no corners")
-    x, y = _corners(lam)
-    return InterlacingPair(tuple(sorted(x)), tuple(sorted(y)))
-
-
 def _ratio_series(tops: list[list[int]], bottoms: list[list[int]], order: int,
                   width: int) -> list[list[int]]:
     """Columns c_0..c_order of prod_t (1 - t u) / prod_b (1 - b u) over a block
@@ -86,15 +51,6 @@ def _ratio_series(tops: list[list[int]], bottoms: list[list[int]], order: int,
         for i in range(1, order + 1):
             c[i] = list(map(add, c[i], map(mul, b, c[i - 1])))
     return c
-
-
-def resolvent_series(pair: InterlacingPair, order: int) -> list[Fraction]:
-    """Moment coefficients (m_0=1, m_1, ..., m_order) of the resolvent
-    G(z) = sum m_j z^{-j-1}, from G/u = prod(1 - y_i u) / prod(1 - x_j u)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    m = _ratio_series([[v] for v in pair.y], [[v] for v in pair.x], order, 1)
-    return [Fraction(col[0]) for col in m]
 
 
 def _columns(seqs: list[list[int]]) -> list[list[int]]:

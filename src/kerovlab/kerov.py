@@ -375,8 +375,8 @@ def triple_sum_bruteforce(a, b, c, n: int, basis: str = "C") -> SymFunc:
 # exp for Q and p.  Each row is basis -> (min_part, phi, weight, denominator,
 # kernel): over |mu| = n with parts >= min_part, the coefficient of g_mu is
 # phi(l(mu)) prod_j weight(mu_j) K(mu) / denominator(mu).  The kernel (q, x, y, v)
-# is K = (x a + y b n + c (n^2 + v p_2(mu))) / q: phi_hat, a/2 + b n/6 +
-# c (n^2 + p_2)/12, for R and h, and a + b n/3 + (c/9)(n^2 + 2 p_2) for Q and p.
+# is K = (x a + y b n + c (n^2 + v p_2(mu))) / q: a/2 + b n/6 +
+# c (n^2 + p_2)/12 for R and h, and a + b n/3 + (c/9)(n^2 + 2 p_2) for Q and p.
 TRIPLE_FORMS = {
     "R": (2, lambda l: factorial(l + 2), lambda i: i - 1, mult_factorial, (12, 6, 2, 1)),
     "h": (1, lambda l: factorial(l + 2), lambda i: (-1) ** (i - 1), mult_factorial, (12, 6, 2, 1)),
@@ -420,6 +420,8 @@ class KerovProvider:
     with a cache_dir, to disk.  precompute's process pool maps compute_kerov
     and returns its KerovPolynomials.  Cache files are written once via an
     atomic rename; partial or version-stale files are ignored and regenerated.
+    A cache file is served as read, without being certified again, until
+    ROADMAP item 2 deletes the cache.
     """
 
     def __init__(self, cache_dir: str | None = None):

@@ -137,16 +137,6 @@ def z_factor(mu: Partition) -> int:
     return prod(mu) * mult_factorial(mu)
 
 
-def epsilon(mu: Partition) -> int:
-    """Sign (-1)^(|mu| - l(mu))."""
-    return -1 if (sum(mu) - len(mu)) % 2 else 1
-
-
-def u_factor(mu: Partition) -> int:
-    """Number of distinct rearrangements of mu: l(mu)! / prod_i m_i!."""
-    return factorial(len(mu)) // mult_factorial(mu)
-
-
 @cache
 def mult_factorial(mu: Partition) -> int:
     """prod_i m_i(mu)!."""

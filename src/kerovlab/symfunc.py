@@ -32,7 +32,6 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     format_rational,
-    mult_factorial,
     series_coefficients,
 )
 
@@ -419,10 +418,6 @@ class SymFunc:
     def to_json_dict(self) -> dict:
         return {"basis": self.basis, "terms": self.terms_json()}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SymFunc":
-        return cls.from_terms_json(data["basis"], data["terms"])
-
     def _monomial_text(self, lam: Partition) -> str:
         if self.basis in FAMILIES:
             return "*".join(f"{self.basis}{i}" for i in lam) or "1"
@@ -438,33 +433,3 @@ class SymFunc:
     def __repr__(self):
         return f"SymFunc[{self.basis}]({self.to_text()})"
 
-
-# ---------------------------------------------------------------------------
-# scalar (lambda-ring) specializations and the triple-sum kernel
-# ---------------------------------------------------------------------------
-
-
-def p_scalar_specialize(mu: Partition, t) -> Fraction:
-    """p_mu at the scalar alphabet t: t^l(mu)."""
-    return Fraction(t) ** len(mu)
-
-
-def m_scalar_specialize(mu: Partition, t) -> Fraction:
-    """m_mu at the scalar alphabet t: t(t-1)...(t-l+1) / prod_i m_i(mu)!."""
-    t = Fraction(t)
-    val = Fraction(1)
-    for j in range(len(mu)):
-        val *= t - j
-    return val / mult_factorial(mu)
-
-
-def phi_hat(a, b, c, n: int) -> SymFunc:
-    """Symmetric-function kernel for the weight phi(i) = a + b*i + c*i^2.
-
-    Returns a/2 + b*n/6 + c*(n^2 + p_2)/12 in the p basis; evaluating it at a
-    partition of n turns the weighted triple convolution of a sequence into a
-    single sum over partitions.
-    """
-    d, (a, b, c) = _numerators(map(Fraction, (a, b, c)))
-    const = Fraction(6 * a + 2 * b * n + c * n * n, 12 * d)
-    return SymFunc("p", {(): const, (2,): Fraction(c, 12 * d)})

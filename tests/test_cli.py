@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import kerovlab.cli as cli
 import kerovlab.conjectures as conj
 from kerovlab.cli import main
 
@@ -28,7 +29,8 @@ def test_kerov_json_bytes(capsys):
 # sha256 of the stdout of `kerov --r N --jobs 1` (R basis) for N = 2..31,
 # recorded from a separate implementation of the closed form (suffix memos)
 # and of `kerov --r N --basis C|Q --jobs 1` for N = 2..25, recorded before the
-# generator changes moved to one substitution table
+# generator changes moved to one substitution table; and of four `extract`
+# runs and the nine suites, recorded before the f/g/F factors became one table
 KEROV_DIGESTS = json.loads(
     (Path(__file__).parent / "data" / "kerov_stdout_sha256.json").read_text()
 )
@@ -75,6 +77,20 @@ def test_stretch_kerov_stdout_matches_the_committed_digests(capsys):
         assert kerov_stdout_sha256(capsys, r) == KEROV_STDOUT_SHA256[r], r
     elapsed = time.time() - t0
     assert elapsed <= budget, f"K_22..K_31 took {elapsed:.0f}s of a {budget:.0f}s budget"
+
+
+def test_extract_and_verify_stdout_match_the_committed_digests(capsys, monkeypatch, provider):
+    # extract f_3, g_3, g_2 and F_2 and the nine suites at their default
+    # ranges, on the session's provider so each K_r is computed once
+    monkeypatch.setattr(cli, "KerovProvider", lambda cache_dir=None: provider)
+    got, want = {}, {}
+    for cmd, fields in (("extract", ("family", "k", "r_min", "r_max")), ("verify", ("suite",))):
+        for name, digest in KEROV_DIGESTS[f"{cmd}_stdout_sha256"].items():
+            argv = KEROV_DIGESTS[f"{cmd}_command"].format(**dict(zip(fields, name.split())))
+            code, out, _ = run_cli(capsys, *argv.split())
+            got[cmd, name] = code, hashlib.sha256(out.encode()).hexdigest()
+            want[cmd, name] = 0, digest
+    assert got == want
 
 
 def test_kerov_component_and_bases(capsys):

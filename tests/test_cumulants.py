@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial
@@ -7,19 +8,61 @@ from operator import floordiv, mul, sub
 import pytest
 
 import kerovlab.cumulants as cumulants
-from kerovlab.cumulants import (
-    InterlacingPair,
-    c_values,
-    diagram_to_interlacing,
-    free_cumulants,
-    q_values,
-    resolvent_series,
-)
+from kerovlab.cumulants import c_values, free_cumulants, q_values
 from kerovlab.partitions import conjugate, enumerate_partitions, partition_count, unrank_partition
 
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
+
+
+class InterlacingPair(namedtuple("InterlacingPair", "x y")):
+    """Sequences x (length d) and y (length d-1) with x1 < y1 < x2 < ... < xd.
+
+    The center sum(x) - sum(y) must vanish; diagrams always produce center 0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: tuple[int, ...], y: tuple[int, ...]):
+        if len(x) != len(y) + 1:
+            raise ValueError("x must be one longer than y")
+        merged = [None] * (len(x) + len(y))
+        merged[::2] = x
+        merged[1::2] = y
+        if any(merged[i] >= merged[i + 1] for i in range(len(merged) - 1)):
+            raise ValueError(f"sequences do not interlace: x={x}, y={y}")
+        if sum(x) - sum(y) != 0:
+            raise ValueError("center must be 0")
+        return super().__new__(cls, x, y)
+
+
+def diagram_to_interlacing(lam):
+    """Interlacing pair of a nonempty partition, from the kernel's corners.
+
+    y holds the contents (column - row) of the removable corner boxes, x the
+    contents of the addable corners of the complement; x runs from -l(lam)
+    up to lam_1.
+    """
+    if not lam:
+        raise ValueError("the empty diagram has no corners")
+    x, y = cumulants._corners(lam)
+    return InterlacingPair(tuple(sorted(x)), tuple(sorted(y)))
+
+
+def resolvent_series(pair, order):
+    """Moment coefficients (m_0=1, m_1, ..., m_order) of the resolvent
+    G(z) = sum m_j z^{-j-1}, from G/u = prod(1 - y_i u) / prod(1 - x_j u):
+    times each 1 - y u, then divided by each 1 - x u."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    m = [Fraction(1)] + [Fraction(0)] * order
+    for y in pair.y:
+        m = [m[0]] + [a - y * b for a, b in zip(m[1:], m)]
+    for x in pair.x:
+        for i in range(1, order + 1):
+            m[i] += x * m[i - 1]
+    return m
 
 
 def transition_moments(pair, order):

@@ -12,7 +12,7 @@ import kerovlab.kerov as kerov
 import kerovlab.linalg as linalg
 import kerovlab.partitions as partitions
 from kerovlab.characters import normalized_character
-from kerovlab.cumulants import c_values, diagram_to_interlacing, free_cumulants, q_values
+from kerovlab.cumulants import _corners, c_values, free_cumulants, q_values
 from kerovlab.kerov import (
     CumulantPolynomial,
     KerovComputationError,
@@ -193,12 +193,12 @@ def test_closed_form_matches_biane_generating_function():
     for r in range(2, 9):
         poly = CumulantPolynomial("R", kerov._closed_form(r))
         for lam in enumerate_partitions(r + 2):
-            pair = diagram_to_interlacing(lam)
+            xs, ys = _corners(lam)
             series = [1] + [0] * (r + 1)
             for j in range(r):
-                for x in pair.x:  # times 1 - (x + j)u
+                for x in xs:  # times 1 - (x + j)u
                     series = [1] + [c - (x + j) * d for c, d in zip(series[1:], series)]
-                for y in pair.y:  # divided by 1 - (y + j)u
+                for y in ys:  # divided by 1 - (y + j)u
                     for k in range(1, r + 2):
                         series[k] += (y + j) * series[k - 1]
             want = Fraction(-series[r + 1], r)

@@ -8,14 +8,12 @@ from kerovlab.partitions import (
     check_partition,
     conjugate,
     enumerate_partitions,
-    epsilon,
     format_partition,
     mult_factorial,
     multiplicities,
     parse_partition,
     partition_count,
     series_coefficients,
-    u_factor,
     unrank_partition,
     z_factor,
 )
@@ -56,13 +54,6 @@ def cycle_type(perm):
             ln += 1
         lengths.append(ln)
     return tuple(sorted(lengths, reverse=True))
-
-
-def perm_sign(perm):
-    inv = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return -1 if inv % 2 else 1
 
 
 def test_enumerate_spec_examples():
@@ -112,18 +103,6 @@ def test_enumeration_counts_match_pentagonal_recurrence():
         assert len(enumerate_partitions(n)) == p[n]
 
 
-def test_u_factor_counts_compositions():
-    # the rearrangement counts of all partitions of n add up to 2^(n-1)
-    for n in range(1, 15):
-        assert sum(u_factor(mu) for mu in enumerate_partitions(n)) == 2 ** (n - 1)
-
-
-def test_u_factor_counts_distinct_rearrangements():
-    for n in range(8):
-        for mu in enumerate_partitions(n):
-            assert u_factor(mu) == len(set(itertools.permutations(mu)))
-
-
 def test_z_factor_is_centralizer_order():
     # brute force over S_n: z_mu * #{permutations of cycle type mu} = n!
     for n in range(1, 7):
@@ -134,27 +113,10 @@ def test_z_factor_is_centralizer_order():
             assert z_factor(mu) * cnt == factorial(n)
 
 
-def test_epsilon_is_permutation_sign():
-    for n in range(1, 7):
-        seen = set()
-        for perm in itertools.permutations(range(n)):
-            mu = cycle_type(perm)
-            if mu in seen:
-                continue
-            seen.add(mu)
-            assert epsilon(mu) == perm_sign(perm)
-
-
 def test_spec_value_examples():
     assert z_factor((2, 1, 1)) == 4
     assert z_factor(()) == 1
     assert z_factor((3, 3)) == 18
-    assert epsilon((2, 1)) == -1
-    assert epsilon((1, 1, 1)) == 1
-    assert epsilon((4,)) == -1
-    assert u_factor((2, 2)) == 1
-    assert u_factor((3, 2, 2)) == 3
-    assert u_factor((1,)) == 1
 
 
 def test_conjugate_examples_and_involution():

@@ -6,15 +6,8 @@ from fractions import Fraction
 import pytest
 
 import kerovlab.symfunc as symfunc
-from kerovlab.partitions import enumerate_partitions, epsilon, z_factor
-from kerovlab.symfunc import (
-    SymFunc,
-    generator_in,
-    m_scalar_specialize,
-    monomial_in,
-    p_scalar_specialize,
-    phi_hat,
-)
+from kerovlab.partitions import enumerate_partitions, z_factor
+from kerovlab.symfunc import SymFunc, generator_in, monomial_in
 
 NVARS = 7
 
@@ -173,8 +166,9 @@ def test_evaluate_is_ring_homomorphism():
 
 
 def _old_gen_in_p(basis, n):
-    sign = epsilon if basis == "e" else (lambda mu: 1)
-    return {mu: Fraction(sign(mu), z_factor(mu)) for mu in enumerate_partitions(n)}
+    # e_n has the sign epsilon(mu) = (-1)^(n - l(mu)) on p_mu / z_mu
+    sign = -1 if basis == "e" else 1
+    return {mu: Fraction(sign ** (n - len(mu)), z_factor(mu)) for mu in enumerate_partitions(n)}
 
 
 def _old_product_in_p(basis, lam):
@@ -271,36 +265,6 @@ def test_waring_p_in_gen_matches_newton_recurrences():
         assert _fractions(generator_in("p", "h", n)) == _newton_p_in_h(n), n
 
 
-def test_p_scalar_specialize():
-    assert p_scalar_specialize((2, 1), 3) == 9
-    assert p_scalar_specialize((), Fraction(7, 2)) == 1
-    assert p_scalar_specialize((5,), -2) == -2
-
-
-def test_m_scalar_specialize():
-    assert m_scalar_specialize((1, 1), 3) == 3
-    assert m_scalar_specialize((2,), Fraction(5, 3)) == Fraction(5, 3)
-    assert m_scalar_specialize((2, 1), 2) == 2
-
-
-def test_m_scalar_specialize_matches_all_ones_vector():
-    for n in range(0, 7):
-        for mu in enumerate_partitions(n):
-            for t in range(len(mu), 7):
-                ones = (1,) * t
-                assert m_scalar_specialize(mu, t) == SymFunc("m", {mu: 1}).evaluate(ones)
-
-
-def test_phi_hat_spec_examples():
-    assert phi_hat(1, 0, 0, 9).terms == {(): Fraction(1, 2)}
-    ph = phi_hat(0, 0, 1, 2)
-    assert ph.terms == {(): Fraction(1, 3), (2,): Fraction(1, 12)}
-    assert ph.evaluate((2,)) == Fraction(2, 3)
-    # 3! * phi_hat value at (2) recovers the brute-force i^2-weighted triple
-    # convolution coefficient: sum_{i+j+k=2} i^2 C_i C_j C_k = 4 C_2
-    assert 6 * ph.evaluate((2,)) == 4
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -315,7 +279,7 @@ def test_text_form_sorted_by_degree_then_revlex():
 def test_json_roundtrip():
     f = SymFunc("h", {(2, 2): Fraction(-3, 7), (): 2, (5, 1): 1})
     data = f.to_json_dict()
-    assert SymFunc.from_json_dict(data) == f
+    assert SymFunc.from_terms_json(data["basis"], data["terms"]) == f
     assert data["basis"] == "h"
     assert data["terms"][0]["partition"] == [5, 1]
 
